@@ -3,7 +3,8 @@
 // components. Each figure benchmark runs the full sim-vs-model sweep and
 // logs the rows the paper reports (use -v to see them); absolute seconds
 // come from the simulator substrate, so shapes — not magnitudes — are the
-// comparison target (see EXPERIMENTS.md).
+// comparison target (the report `go run ./cmd/experiments -md` prints
+// discusses them).
 package hadoop2perf
 
 import (
@@ -218,33 +219,6 @@ func BenchmarkPredictBatch(b *testing.B) {
 	}
 	b.Run("contended-cold", func(b *testing.B) {
 		runContended(b, func(c *ModelConfig) { c.ColdStart = true })
-	})
-	// The same cold sweep through the lane-lockstep pipeline
-	// (PredictBatchLockstep). This is the A/B behind PredictBatch routing
-	// cold entries sequentially: identical innerIters/op, but the packed
-	// kernel pays full four-wide sweeps while the scalar kernel's dirty-row
-	// skip makes late sweeps nearly free (PERFORMANCE.md §2).
-	b.Run("contended-cold-lanes", func(b *testing.B) {
-		b.ReportAllocs()
-		p := NewPredictor()
-		var outer, inner int64
-		for i := 0; i < b.N; i++ {
-			cfgs := make([]ModelConfig, len(contended))
-			copy(cfgs, contended)
-			for j := range cfgs {
-				cfgs[j].ColdStart = true
-			}
-			preds, err := p.PredictBatchLockstep(context.Background(), cfgs)
-			if err != nil {
-				b.Fatal(err)
-			}
-			for _, pr := range preds {
-				outer += int64(pr.Iterations)
-				inner += int64(pr.InnerIterations)
-			}
-		}
-		b.ReportMetric(float64(outer)/float64(b.N), "outerIters/op")
-		b.ReportMetric(float64(inner)/float64(b.N), "innerIters/op")
 	})
 	b.Run("contended-warm", func(b *testing.B) {
 		runContended(b, func(c *ModelConfig) {})
@@ -674,62 +648,6 @@ func BenchmarkMVAOverlapStep(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-}
-
-// BenchmarkMVAOverlapStepScalar measures the historical element-wise kernel
-// kept behind OverlapInput.Scalar — the PR 8 A/B baseline.
-func BenchmarkMVAOverlapStepScalar(b *testing.B) {
-	in := mvaBenchInput()
-	in.Scalar = true
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mva.OverlapStep(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkMVABatch compares four same-shape contended fixed points solved
-// through the lane-batched solver against four sequential scalar Steps: the
-// per-lane trajectories are identical, so the delta is pure execution
-// layout (instruction-level parallelism across lanes).
-func BenchmarkMVABatch(b *testing.B) {
-	mk := func() []mva.OverlapInput {
-		ins := make([]mva.OverlapInput, mva.BatchLanes)
-		for l := range ins {
-			ins[l] = mvaBenchInput()
-			// Perturb each lane's demand so the lanes are neighbors, not clones.
-			for i := range ins[l].Tasks {
-				ins[l].Tasks[i].Demands[0] += float64(l) * 0.5
-			}
-		}
-		return ins
-	}
-	b.Run("batch4", func(b *testing.B) {
-		ins := mk()
-		var s mva.BatchOverlapSolver
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			_, errs := s.Solve(ins)
-			for _, err := range errs {
-				if err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
-	b.Run("sequential4", func(b *testing.B) {
-		ins := mk()
-		var s mva.OverlapSolver
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for l := range ins {
-				if _, err := s.Step(ins[l]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	})
 }
 
 // BenchmarkTripathiMaxMoments measures the numeric max-moment integration

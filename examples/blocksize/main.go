@@ -45,5 +45,5 @@ func main() {
 	fmt.Println("\nsmaller blocks -> more maps -> deeper precedence trees (the paper links this")
 	fmt.Println("depth to estimation error: 17%/25% at 64 MB vs 13.5%/23% at 128 MB; on this")
 	fmt.Println("substrate the model sees per-task overheads explicitly, so its error stays")
-	fmt.Println("flat instead — see EXPERIMENTS.md for the discussion)")
+	fmt.Println("flat instead — `go run ./cmd/experiments -md` prints the discussion)")
 }

@@ -111,8 +111,8 @@ func TestErrorBands(t *testing.T) {
 	// Overestimation dominates (the paper: "with both approaches we
 	// overestimate the execution time"). The model's deterministic wave
 	// structure underestimates stochastic backfill contention at a minority
-	// of points (see EXPERIMENTS.md), so the guard requires a clear majority
-	// plus positive mean error rather than unanimity.
+	// of points (see `go run ./cmd/experiments -md`), so the guard requires
+	// a clear majority plus positive mean error rather than unanimity.
 	if 3*b.FJOver < 2*b.Total {
 		t.Errorf("fork/join overestimates only %d/%d points", b.FJOver, b.Total)
 	}

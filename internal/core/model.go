@@ -9,7 +9,8 @@
 //	    Herodotou static model);
 //	A2  build the timeline (Algorithm 1) from current response times;
 //	A3  build the precedence tree from the timeline;
-//	A4  compute intra-job (α) and inter-job (β) overlap factors;
+//	A4  compute intra-job (α) and inter-job (β) overlap factors, emitted
+//	    fused as the MVA kernel's weights W = α + (N−1)β;
 //	A5  run the overlap-weighted MVA step to re-estimate task response
 //	    times under queueing at the CPU&Memory and Network centers;
 //	A6  estimate the job response time from the tree (Tripathi-based or
@@ -245,12 +246,14 @@ type classData struct {
 
 func (c *classData) demandTotal() float64 { return c.demCPU + c.demDisk + c.demNetwork }
 
-// Predictor is a reusable, allocation-lean model evaluator: the O(T²)
-// overlap matrices, the MVA solver scratch, the timeline inputs and the
-// per-iteration lookup tables live on the Predictor and are recycled across
-// iterations and across predictions, so evaluating many configurations —
-// the planner's node-axis sweeps, batched figure reproduction — stops
-// churning the garbage collector.
+// Predictor is a reusable, allocation-free model evaluator: the timeline
+// and precedence-tree builders, the O(T²) fused overlap weights, the MVA
+// solver scratch, the timeline inputs and the per-iteration lookup tables
+// live on the Predictor and are recycled across outer rounds and across
+// predictions, so a warmed Predictor's outer round allocates nothing. The
+// final round's Timeline and Tree are detached into the returned
+// Prediction, so a reused Predictor never mutates an answer it already
+// returned.
 //
 // A Predictor is not safe for concurrent use; pool Predictors (one per
 // worker) to serve parallel predictions. Results are bit-identical to the
@@ -261,19 +264,20 @@ type Predictor struct {
 	// hw is the hardware-class view of the current prediction's cluster.
 	hw hwView
 
-	// Overlap-factor matrices: 2 (alpha, beta) × numCenters layers of n×n,
-	// views over one flat backing array, rebuilt only when the task count or
-	// the center count changes.
-	ovFlat      []float64
-	alpha, beta [][][]float64
-	ovN, ovC    int
+	// A2/A3 scratch: each outer round's timeline and precedence tree.
+	tlb timeline.Builder
+	ptb ptree.Builder
+
+	// weights is A4's output in the mva.OverlapInput.Weights layout: one
+	// n×n fused matrix W = α + (N−1)β per center, center-major.
+	weights []float64
 
 	// Per-task MVA demands, flat-backed with a numCenters stride.
 	demands []mva.TaskDemand
 	demFlat []float64
 	demC    int
 
-	// Algorithm-1 inputs (timeline.Build copies them; safe to reuse).
+	// Algorithm-1 inputs (the timeline copies what it keeps; safe to reuse).
 	maps       []timeline.MapTask
 	reduces    []timeline.ReduceTask
 	mapSlotsBy []int
@@ -299,11 +303,6 @@ type Predictor struct {
 	warm     warmPool
 	seedRows [][]float64
 	lastStep mva.OverlapResult
-
-	// Lane-lockstep batch state (batch.go): the shared lane-packed MVA
-	// solver and the recycled per-lane scratch Predictors.
-	bsolver  mva.BatchOverlapSolver
-	laneFree []*Predictor
 
 	// infl is the fault effective-demand correction of the current
 	// prediction (the identity without a fault scenario).
@@ -428,12 +427,10 @@ func PredictContext(ctx context.Context, cfg Config) (Prediction, error) {
 
 // PredictBatch evaluates a batch of configurations through one shared
 // evaluator: entries are warm-started from their nearest already-solved
-// neighbor and — beyond a sequential pilot per warm-signature — advanced in
-// lane-lockstep waves whose inner MVA fixed points share packed sweeps (see
-// Predictor.PredictBatch). Results match per-config Predict calls within
-// the warm-start tolerance (1e-6 relative, property-tested); set
-// Config.ColdStart for bit-identical cold runs. The first failing config
-// aborts the batch with its index wrapped in the error.
+// neighbor (see Predictor.PredictBatch). Results match per-config Predict
+// calls within the warm-start tolerance (1e-6 relative, property-tested);
+// set Config.ColdStart for bit-identical cold runs. The first failing
+// config aborts the batch with its index wrapped in the error.
 func PredictBatch(cfgs []Config) ([]Prediction, error) {
 	return NewPredictor().PredictBatch(cfgs)
 }
@@ -525,15 +522,18 @@ func (p *Predictor) predict(ctx context.Context, cfg Config, seed *warmEntry, fa
 	for cls, cd := range classes {
 		pred.ClassResponse[cls] = cd.response
 	}
+	// Hand the final round's artifacts to the caller; the next prediction
+	// builds into fresh ones.
 	pred.Timeline = tl
 	pred.Tree = tree
+	p.tlb.Detach()
+	p.ptb.Detach()
 	return pred, nil
 }
 
 // beginPredict validates and normalizes a configuration and initializes the
-// per-run hardware view, fault inflation and class working state — the
-// prologue shared by the scalar outer loop and the lane-lockstep batch
-// (batch.go). The returned Config has defaults applied.
+// per-run hardware view, fault inflation and class working state. The
+// returned Config has defaults applied.
 func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classData, error) {
 	if err := cfg.validateTuning(); err != nil {
 		return cfg, nil, err
@@ -557,9 +557,10 @@ func (p *Predictor) beginPredict(cfg Config) (Config, map[timeline.Class]*classD
 }
 
 // roundArtifacts runs one outer round's A2–A4 stages — timeline, precedence
-// tree, overlap factors, per-task demands, service centers — and assembles
-// the overlap-MVA input (A5's operand) for the current class responses. The
-// input's matrices alias Predictor scratch, valid until the next round.
+// tree, per-task demands, fused overlap weights, service centers — and
+// assembles the overlap-MVA input (A5's operand) for the current class
+// responses. The timeline, tree and input all alias Predictor scratch,
+// valid until the next round.
 func (p *Predictor) roundArtifacts(cfg Config, classes map[timeline.Class]*classData, warm [][]float64, fast bool) (*timeline.Timeline, *ptree.Node, mva.OverlapInput, error) {
 	// A2: timeline from current class response times.
 	tl, err := p.buildTimeline(cfg, classes)
@@ -567,18 +568,16 @@ func (p *Predictor) roundArtifacts(cfg Config, classes map[timeline.Class]*class
 		return nil, nil, mva.OverlapInput{}, err
 	}
 	// A3: precedence tree.
-	tree, err := ptree.Build(tl)
+	tree, err := p.ptb.Build(tl)
 	if err != nil {
 		return nil, nil, mva.OverlapInput{}, err
 	}
-	// A4: overlap factors.
-	alpha, beta := p.overlapFactors(tl)
+	// A4: overlap factors, fused into the kernel's weights.
 	taskDemands := p.demandsFor(cfg, tl, classes)
 	p.servers = p.hw.servers(p.servers)
 	return tl, tree, mva.OverlapInput{
 		Tasks:      taskDemands,
-		Alpha:      alpha,
-		Beta:       beta,
+		Weights:    p.overlapFactors(tl, cfg.NumJobs-1),
 		Servers:    p.servers,
 		OtherJobs:  cfg.NumJobs - 1,
 		Warm:       warm,
@@ -733,7 +732,8 @@ func leafCVFor(cfg Config, cls timeline.Class) float64 {
 // buildTimeline converts class responses into Algorithm 1 inputs. The
 // shuffle-sort response is split into a node-local base and a network share
 // that Algorithm 1 redistributes per remote map (sd/|R|). The input slices
-// are predictor-owned scratch: timeline.Build copies what it keeps.
+// are predictor-owned scratch, and the timeline is built into the
+// Predictor's builder.
 func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classData) (*timeline.Timeline, error) {
 	m := cfg.Job.NumMaps()
 	r := cfg.Job.NumReduces
@@ -793,7 +793,7 @@ func (p *Predictor) buildTimeline(cfg Config, classes map[timeline.Class]*classD
 		SlowStart:         cfg.Job.SlowStart,
 	}
 	in.MapDurationScaleByNode, in.ReduceDurationScaleByNode = p.durationScales(cfg, classes)
-	return timeline.Build(in)
+	return p.tlb.Build(in)
 }
 
 // durationScales derives Algorithm 1's per-node duration-scale vectors for
@@ -877,49 +877,14 @@ const (
 // class constants index arrays of this size.
 const numClasses = 3
 
-// overlapMatrices returns zeroed alpha/beta matrices for n tasks over nc
-// centers, views over one predictor-owned flat backing so repeated
-// iterations of the same shape allocate nothing.
-func (p *Predictor) overlapMatrices(n, nc int) (alpha, beta [][][]float64) {
-	need := 2 * nc * n * n
-	if p.ovN != n || p.ovC != nc {
-		p.ovN, p.ovC = n, nc
-		if cap(p.ovFlat) < need {
-			p.ovFlat = make([]float64, need)
-		}
-		p.ovFlat = p.ovFlat[:need]
-		if cap(p.alpha) < nc {
-			p.alpha = make([][][]float64, nc)
-			p.beta = make([][][]float64, nc)
-		}
-		p.alpha = p.alpha[:nc]
-		p.beta = p.beta[:nc]
-		off := 0
-		row := func() []float64 {
-			r := p.ovFlat[off : off+n : off+n]
-			off += n
-			return r
-		}
-		for k := 0; k < nc; k++ {
-			if cap(p.alpha[k]) < n {
-				p.alpha[k] = make([][]float64, n)
-				p.beta[k] = make([][]float64, n)
-			}
-			p.alpha[k] = p.alpha[k][:n]
-			p.beta[k] = p.beta[k][:n]
-			for i := 0; i < n; i++ {
-				p.alpha[k][i] = row()
-			}
-			for i := 0; i < n; i++ {
-				p.beta[k][i] = row()
-			}
-		}
-	}
-	clear(p.ovFlat)
-	return p.alpha, p.beta
-}
-
-// overlapFactors computes α (intra-job) and β (inter-job) per center.
+// overlapFactors computes α (intra-job) and β (inter-job) per center and
+// writes them fused, W^k_ij = α^k_ij + (N−1)·β^k_ij with the diagonal
+// (N−1)·β^k_ii alone (a task does not overlap itself within its own job),
+// into the Predictor's weights in the mva.OverlapInput.Weights layout.
+// Only the rows the MVA sweep reads are written: task i's rows at its own
+// class's CPU and Disk centers and at the Network center; its demand
+// elsewhere is zero. Each entry is computed with the same expression the
+// solver's own α/β fusion uses, so the weights are bit-identical to it.
 //
 // α^k_ij is the fraction of task i's execution that overlaps task j's, masked
 // by center visibility: the CPU&Memory center is per-node, so only
@@ -934,10 +899,12 @@ func (p *Predictor) overlapMatrices(n, nc int) (alpha, beta [][][]float64) {
 // other job's tasks spread over nodes in proportion to their share of the
 // container pool, which for a flat spec reduces to the paper's uniform
 // 1/numNodes.
-func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]float64) {
+func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float64 {
 	hw := &p.hw
 	n := len(tl.Tasks)
-	alpha, beta = p.overlapMatrices(n, hw.nc)
+	p.weights = resizeFloats(p.weights, hw.nc*n*n)
+	w := p.weights
+	nj := float64(otherJobs)
 	laneOf, wins := p.laneWindows(tl)
 	netC := hw.netCenter()
 	for i := 0; i < n; i++ {
@@ -949,22 +916,23 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]flo
 		// The twin of task j draws its node from j's container pool; node(i)
 		// hosts a pool share of slots(class(i))/totalSlots.
 		invWMap, invWRed := hw.invWMap[ci], hw.invWRed[ci]
-		aNet, bNet := alpha[netC][i], beta[netC][i]
-		aCPU, aDisk := alpha[cpuC][i], alpha[diskC][i]
-		bCPU, bDisk := beta[cpuC][i], beta[diskC][i]
-		// The twin of task i in another job overlaps fully.
-		bNet[i] = 1
-		selfW := invWMap
-		if ti.Class != timeline.ClassMap {
-			selfW = invWRed
-		}
-		bCPU[i] = 1 / selfW
-		bDisk[i] = 1 / selfW
+		wNet := w[(netC*n+i)*n : (netC*n+i+1)*n]
+		wCPU := w[(cpuC*n+i)*n : (cpuC*n+i+1)*n]
+		wDisk := w[(diskC*n+i)*n : (diskC*n+i+1)*n]
 		for j := 0; j < n; j++ {
+			tj := &tl.Tasks[j]
+			invW := invWMap
+			if tj.Class != timeline.ClassMap {
+				invW = invWRed
+			}
 			if i == j {
+				// The twin of task i in another job overlaps fully (β = 1 at
+				// the network, the co-location weight at the node centers).
+				wNet[i] = nj * 1
+				wCPU[i] = nj * (1 / invW)
+				wDisk[i] = wCPU[i]
 				continue
 			}
-			tj := &tl.Tasks[j]
 			ov := 0.0
 			if di > 0 {
 				lo, hi := ti.Start, ti.End
@@ -980,14 +948,7 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]flo
 			}
 			// Network: global center, pairwise transfer overlap — the same
 			// α and β time-overlap (see the doc comment above).
-			aNet[j] = ov
-			invW := invWMap
-			if tj.Class != timeline.ClassMap {
-				invW = invWRed
-			}
-			bNet[j] = ov
-			bCPU[j] = ov / invW
-			bDisk[j] = ov / invW
+			wNet[j] = ov + nj*ov
 			// CPU and Disk: per-node centers (task i contends at its own
 			// class's center pair). Contention is assessed against the *lane*
 			// hosting task j rather than j's exact interval: on the real
@@ -995,23 +956,24 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline) (alpha, beta [][][]flo
 			// stays busy wall-to-wall while work remains. Each lane counts
 			// once, with its contention spread over its tasks in proportion
 			// to their durations; same-lane tasks serialize and never
-			// contend.
+			// contend. Tasks on other nodes have α = 0.
+			alpha := 0.0
 			if ti.Node == tj.Node {
 				lj := laneOf[j]
-				lov := ov
+				alpha = ov
 				if lj != li {
-					if w := &wins[lj]; w.total > 0 && di > 0 {
-						lov = timeline.Overlap(ti, w.placed) / di * (tj.Duration() / w.total)
+					if wl := &wins[lj]; wl.total > 0 && di > 0 {
+						alpha = timeline.Overlap(ti, wl.placed) / di * (tj.Duration() / wl.total)
 					}
 				} else {
-					lov = 0
+					alpha = 0
 				}
-				aCPU[j] = lov
-				aDisk[j] = lov
 			}
+			wCPU[j] = alpha + nj*(ov/invW)
+			wDisk[j] = wCPU[j]
 		}
 	}
-	return alpha, beta
+	return w
 }
 
 // laneKey identifies one container lane: reduce subtasks (shuffle-sort and

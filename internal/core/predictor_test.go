@@ -3,15 +3,22 @@ package core
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/timeline"
+	"hadoop2perf/internal/workflow"
 	"hadoop2perf/internal/workload"
 )
 
 // A reused Predictor must produce bit-identical results to one-shot
 // Predict calls, across shape changes (different task counts) in either
-// direction — scratch reuse must never leak state between predictions.
+// direction — scratch reuse must never leak state between predictions. The
+// timeline and precedence tree a prediction returns are its own: serving
+// later shapes through the same Predictor (Predict, PredictWarm and
+// PredictWorkflow) must leave every earlier answer's Timeline.Tasks and
+// Tree unchanged.
 func TestPredictorReuseMatchesFresh(t *testing.T) {
 	shapes := []struct {
 		inputMB float64
@@ -28,6 +35,15 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 		{2 * 1024, 128, 8, 6, 2, EstimatorTripathi},
 		{1024, 128, 4, 4, 1, EstimatorPaperLiteral},
 	}
+	type kept struct {
+		pred  Prediction
+		tasks []timeline.Placed
+		tree  string
+	}
+	var answers []kept
+	keep := func(pred Prediction) {
+		answers = append(answers, kept{pred, slices.Clone(pred.Timeline.Tasks), pred.Tree.String()})
+	}
 	p := NewPredictor()
 	for i, s := range shapes {
 		job, err := workload.NewJob(0, s.inputMB, s.block, s.reduces, workload.WordCount())
@@ -43,6 +59,7 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shape %d: reused: %v", i, err)
 		}
+		keep(reused)
 		if reused.ResponseTime != fresh.ResponseTime {
 			t.Errorf("shape %d: reused predictor diverged: %v != %v", i, reused.ResponseTime, fresh.ResponseTime)
 		}
@@ -55,6 +72,67 @@ func TestPredictorReuseMatchesFresh(t *testing.T) {
 				t.Errorf("shape %d: class %s response diverged", i, cls)
 			}
 		}
+		if !slices.Equal(reused.Timeline.Tasks, fresh.Timeline.Tasks) || reused.Tree.String() != fresh.Tree.String() {
+			t.Errorf("shape %d: reused predictor returned a different timeline or tree", i)
+		}
+		warm, err := p.PredictWarm(cfg)
+		if err != nil {
+			t.Fatalf("shape %d: warm: %v", i, err)
+		}
+		keep(warm)
+	}
+	wf, err := p.PredictWorkflowContext(context.Background(), workflow.Chain("a", "b"), wfConfigs(t, cluster.Default(3), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Predict(Config{Spec: cluster.Default(2), Job: wfConfigs(t, cluster.Default(2), 1)[0].Job}); err != nil {
+		t.Fatal(err)
+	}
+	for i, a := range answers {
+		if !slices.Equal(a.pred.Timeline.Tasks, a.tasks) {
+			t.Errorf("answer %d: Timeline.Tasks changed after the Predictor served later shapes", i)
+		}
+		if got := a.pred.Tree.String(); got != a.tree {
+			t.Errorf("answer %d: Tree changed after the Predictor served later shapes:\n%s\nwas\n%s", i, got, a.tree)
+		}
+		if err := a.pred.Tree.Validate(); err != nil {
+			t.Errorf("answer %d: %v", i, err)
+		}
+	}
+	if wf.ResponseTime <= 0 {
+		t.Errorf("workflow response %v", wf.ResponseTime)
+	}
+}
+
+// A warmed Predictor's outer round allocates nothing: the timeline and
+// tree build into reused scratch, A4 writes the fused weights in place and
+// the MVA solver is double-buffered. What remains is per prediction — the
+// class state, the result map and the detached final Timeline and Tree —
+// so the count must not scale with the 31 outer rounds of this contended
+// shape (48 maps, 8 reducers, 4 nodes, 4 jobs). The pre-builder tree made
+// about 7,900 allocations here.
+func TestPredictAllocBudget(t *testing.T) {
+	job, err := workload.NewJob(0, 48*128, 128, 8, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Spec: cluster.Default(4), Job: job, NumJobs: 4}
+	p := NewPredictor()
+	pred, err := p.Predict(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.NumMaps() != 48 || pred.Iterations != 31 {
+		t.Fatalf("shape drifted: %d maps, %d outer rounds (want 48, 31)", job.NumMaps(), pred.Iterations)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := p.Predict(cfg); err != nil {
+			t.Error(err)
+		}
+	})
+	const budget = 40
+	if allocs > budget {
+		t.Errorf("warmed Predict allocated %.0f per run, budget %d (%d outer rounds)", allocs, budget, pred.Iterations)
 	}
 }
 
@@ -110,46 +188,6 @@ func TestPredictBatchMatchesIndividual(t *testing.T) {
 		}
 		if coldBatch[i].WarmStarted {
 			t.Errorf("cold config %d reported WarmStarted", i)
-		}
-	}
-}
-
-// PredictBatchLockstep drives the rolling lane pipeline (the packed-kernel
-// measurement path behind PredictBatch's sequential routing): every config
-// evaluates cold through shared four-wide solves, and each lane's
-// trajectory — response, outer rounds AND per-lane inner sweep counts —
-// must be bit-identical to a sequential cold Predict. Six skewed configs
-// exercise rolling admission past the lane width.
-func TestPredictBatchLockstepMatchesCold(t *testing.T) {
-	job, err := workload.NewJob(0, 2*1024, 128, 4, workload.WordCount())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var cfgs []Config
-	for _, n := range []int{2, 4, 6, 8, 12, 16} {
-		cfgs = append(cfgs, Config{Spec: cluster.Default(n), Job: job, NumJobs: 3})
-	}
-	p := NewPredictor()
-	got, err := p.PredictBatchLockstep(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, cfg := range cfgs {
-		one, err := Predict(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got[i].ResponseTime != one.ResponseTime {
-			t.Errorf("config %d (n=%d): lockstep %v != sequential %v",
-				i, cfg.Spec.NumNodes, got[i].ResponseTime, one.ResponseTime)
-		}
-		if got[i].Iterations != one.Iterations {
-			t.Errorf("config %d: lockstep %d outer rounds, sequential %d",
-				i, got[i].Iterations, one.Iterations)
-		}
-		if got[i].InnerIterations != one.InnerIterations {
-			t.Errorf("config %d: lockstep %d inner sweeps, sequential %d",
-				i, got[i].InnerIterations, one.InnerIterations)
 		}
 	}
 }
@@ -212,16 +250,12 @@ func TestPredictMonotoneInNodes(t *testing.T) {
 }
 
 // TestSweepBudget is the deterministic sweep-count gate of the batch
-// paths, on the contended 16-point sweep the benchmarks use (4 competing
-// jobs, 4 reducers, nodes 2..17). The model is deterministic, so these
-// inequalities are exact gates, not statistical ones:
-//
-//   - PredictBatch's warm chaining must spend at most half the inner
-//     sweeps of per-config cold evaluation (the warm-start win the batch
-//     path exists for; measured ratio ≈ 3.7x, gated at 2x).
-//   - The lockstep lane pipeline must account exactly the cold sweep
-//     total: per-lane masking means a frozen lane stops accruing, so
-//     lane-packing changes wall time but never counted sweeps.
+// path, on the contended 16-point sweep the benchmarks use (4 competing
+// jobs, 4 reducers, nodes 2..17). The model is deterministic, so this is
+// an exact gate, not a statistical one: PredictBatch's warm chaining must
+// spend at most half the inner sweeps of per-config cold evaluation (the
+// warm-start win the batch path exists for; measured ratio ≈ 3.7x, gated
+// at 2x).
 func TestSweepBudget(t *testing.T) {
 	job, err := workload.NewJob(0, 5*1024, 128, 4, workload.WordCount())
 	if err != nil {
@@ -251,17 +285,5 @@ func TestSweepBudget(t *testing.T) {
 	}
 	if warmInner*2 > coldInner {
 		t.Errorf("warm batch spent %d inner sweeps, budget is half of cold's %d", warmInner, coldInner)
-	}
-
-	lockPreds, err := NewPredictor().PredictBatchLockstep(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lockInner int
-	for _, p := range lockPreds {
-		lockInner += p.InnerIterations
-	}
-	if lockInner != coldInner {
-		t.Errorf("lockstep accounted %d inner sweeps, cold sequential %d — lane masking leaked", lockInner, coldInner)
 	}
 }

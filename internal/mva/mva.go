@@ -338,9 +338,18 @@ type TaskDemand struct {
 	Demands []float64
 }
 
-// OverlapInput drives one overlap-weighted residence-time step.
+// OverlapInput drives one overlap-weighted residence-time step. The
+// overlap enters either as the fused weight matrices (Weights) or as the
+// α/β pair the solver fuses itself (Alpha, Beta).
 type OverlapInput struct {
 	Tasks []TaskDemand
+	// Weights, when non-nil, holds the fused weight matrices
+	// W^c_ij = α^c_ij + (N−1)β^c_ij (diagonal (N−1)β^c_ii only) flat and
+	// center-major: W^c_ij is Weights[(c·n+i)·n+j] for n tasks, k·n·n
+	// entries in all. The sweep reads row (c, i) only when task i has
+	// nonzero demand at center c; other rows may hold anything. Alpha and
+	// Beta are ignored when Weights is set.
+	Weights []float64
 	// Alpha[k][i][j] is the intra-job overlap factor between tasks i and j as
 	// seen by center k (per-node centers zero out pairs on different nodes).
 	Alpha [][][]float64
@@ -369,14 +378,6 @@ type OverlapInput struct {
 	// the plain damped iterate wherever the safeguards reject the step).
 	// Convergence is still only ever declared on a plain sweep's delta.
 	Accelerate bool
-	// Scalar selects the historical element-wise sweep (per-(i,j) alpha/beta
-	// loads with the j != i branch) instead of the fused struct-of-arrays
-	// kernel, reproducing the pre-SoA arithmetic bit-for-bit. The fused
-	// kernel hoists W[c] = Alpha[c] + OtherJobs·Beta[c] out of the sweep
-	// loop, which reassociates the arrival sum and can move results by a few
-	// ulps — Scalar is the escape hatch for byte-stable comparisons against
-	// historical pins.
-	Scalar bool
 }
 
 // OverlapResult holds per-task response and residence times.
@@ -405,9 +406,8 @@ type OverlapSolver struct {
 	next     [][]float64
 	resp     []float64
 	servers  []float64
-	rho      []float64 // n×k task-major visit probabilities (legacy kernel)
-	rhoC     []float64 // k×n center-major visit probabilities (fused kernel)
-	wFlat    []float64 // k×n×n fused weight matrices W[c] = α[c] + (N-1)β[c]
+	rhoC     []float64 // k×n center-major visit probabilities
+	wFlat    []float64 // k×n×n fused weights built from Alpha/Beta
 	rowDirty []bool    // rows whose residence changed on the last sweep
 	acc      Aitken    // Δ² accelerator scratch (Accelerate inputs only)
 	n, k     int
@@ -423,17 +423,11 @@ func (s *OverlapSolver) ensure(n, k int) {
 	if cap(s.resFlat) < need {
 		s.resFlat = make([]float64, need)
 		s.nextFlat = make([]float64, need)
-		s.rho = make([]float64, need)
 		s.rhoC = make([]float64, need)
 	}
 	s.resFlat = s.resFlat[:need]
 	s.nextFlat = s.nextFlat[:need]
-	s.rho = s.rho[:need]
 	s.rhoC = s.rhoC[:need]
-	if cap(s.wFlat) < k*n*n {
-		s.wFlat = make([]float64, k*n*n)
-	}
-	s.wFlat = s.wFlat[:k*n*n]
 	if cap(s.rowDirty) < n {
 		s.rowDirty = make([]bool, n)
 	}
@@ -470,35 +464,54 @@ func (s *OverlapSolver) ensure(n, k int) {
 // the classical single-server inflation D_ik*(1+arr); for c_k > 1 it is the
 // fluid processor-sharing law: no slowdown until the expected concurrency
 // exceeds the server count. Iterates until response times are stable.
+// The arrival sum is evaluated as sum_j W^k_ij ρ_jk over the fused weights
+// (OverlapInput.Weights, or built once per Step from Alpha and Beta).
 func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	it := s.sweepFused(&in, tol, maxIter)
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// prepare validates a Step input, sizes the scratch and loads the starting
+// residence matrix. It returns the resolved tolerance and sweep budget.
+func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err error) {
 	n := len(in.Tasks)
 	if n == 0 {
-		return OverlapResult{}, errors.New("mva: no tasks")
+		return 0, 0, errors.New("mva: no tasks")
 	}
 	if len(in.Tasks[0].Demands) == 0 {
-		return OverlapResult{}, errors.New("mva: tasks need at least one center demand")
+		return 0, 0, errors.New("mva: tasks need at least one center demand")
 	}
 	k := len(in.Tasks[0].Demands)
 	for i, t := range in.Tasks {
 		if len(t.Demands) != k {
-			return OverlapResult{}, fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
+			return 0, 0, fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
 		}
 		for _, d := range t.Demands {
 			if d < 0 {
-				return OverlapResult{}, fmt.Errorf("mva: task %d has negative demand", i)
+				return 0, 0, fmt.Errorf("mva: task %d has negative demand", i)
 			}
 		}
 	}
-	if len(in.Alpha) != k || len(in.Beta) != k {
-		return OverlapResult{}, errors.New("mva: overlap matrices must have one layer per center")
-	}
-	for c := 0; c < k; c++ {
-		if len(in.Alpha[c]) != n || len(in.Beta[c]) != n {
-			return OverlapResult{}, errors.New("mva: overlap matrix size mismatch")
+	if in.Weights != nil {
+		if len(in.Weights) != k*n*n {
+			return 0, 0, fmt.Errorf("mva: Weights has %d entries, want %d (centers × tasks × tasks)", len(in.Weights), k*n*n)
+		}
+	} else {
+		if len(in.Alpha) != k || len(in.Beta) != k {
+			return 0, 0, errors.New("mva: overlap matrices must have one layer per center")
+		}
+		for c := 0; c < k; c++ {
+			if len(in.Alpha[c]) != n || len(in.Beta[c]) != n {
+				return 0, 0, errors.New("mva: overlap matrix size mismatch")
+			}
 		}
 	}
 	if in.Servers != nil && len(in.Servers) != k {
-		return OverlapResult{}, errors.New("mva: Servers must have one entry per center")
+		return 0, 0, errors.New("mva: Servers must have one entry per center")
 	}
 	s.ensure(n, k)
 	for c := 0; c < k; c++ {
@@ -507,11 +520,11 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			s.servers[c] = in.Servers[c]
 		}
 	}
-	tol := in.Tol
+	tol = in.Tol
 	if tol <= 0 {
 		tol = 1e-10
 	}
-	maxIter := in.MaxIter
+	maxIter = in.MaxIter
 	if maxIter <= 0 {
 		maxIter = 500
 	}
@@ -539,7 +552,7 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			tot += v
 		}
 		if demTot <= 0 {
-			return OverlapResult{}, fmt.Errorf("mva: task %d has zero total demand", i)
+			return 0, 0, fmt.Errorf("mva: task %d has zero total demand", i)
 		}
 		s.resp[i] = tot
 	}
@@ -551,97 +564,21 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 			s.acc.phase = 0
 		}
 	}
-	var it int
-	if in.Scalar {
-		it = s.sweepLegacy(&in, tol, maxIter)
-	} else {
-		it = s.sweepFused(&in, tol, maxIter)
-	}
-	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+	return tol, maxIter, nil
 }
 
-// sweepLegacy is the historical element-wise sweep, kept verbatim behind
-// OverlapInput.Scalar: per-(i,j) alpha/beta loads with the j != i branch and
-// the interleaved α/β accumulation order. It reproduces the pre-SoA results
-// bit-for-bit.
-func (s *OverlapSolver) sweepLegacy(in *OverlapInput, tol float64, maxIter int) int {
-	n, k := s.n, s.k
-	otherJobs := float64(in.OtherJobs)
-	var it int
-	for it = 0; it < maxIter; it++ {
-		maxDelta := 0.0
-		// Hoist the visit probabilities: ρ_jk depends only on the current
-		// iterate, not on i, so computing it once per sweep turns the inner
-		// loop into pure multiply-adds. The division stays a division to keep
-		// results bit-identical with the historical per-(i,j) computation.
-		for j := 0; j < n; j++ {
-			for c := 0; c < k; c++ {
-				s.rho[j*k+c] = s.res[j][c] / s.resp[j]
-			}
-		}
-		for i := 0; i < n; i++ {
-			for c := 0; c < k; c++ {
-				d := in.Tasks[i].Demands[c]
-				if d == 0 {
-					s.next[i][c] = 0
-					continue
-				}
-				alphaRow := in.Alpha[c][i]
-				betaRow := in.Beta[c][i]
-				arr := 0.0
-				for j := 0; j < n; j++ {
-					rho := s.rho[j*k+c]
-					if j != i {
-						arr += alphaRow[j] * rho
-					}
-					arr += otherJobs * betaRow[j] * rho
-				}
-				slowdown := (1 + arr) / s.servers[c]
-				if slowdown < 1 {
-					slowdown = 1
-				}
-				s.next[i][c] = d * slowdown
-			}
-		}
-		for i := 0; i < n; i++ {
-			var tot float64
-			for c := 0; c < k; c++ {
-				tot += s.next[i][c]
-			}
-			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
-				maxDelta = delta
-			}
-			s.resp[i] = tot
-		}
-		s.res, s.next = s.next, s.res
-		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
-		if maxDelta < tol {
-			break
-		}
-		if in.Accelerate {
-			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
-				// The extrapolated matrix changed the row sums the next
-				// sweep's visit probabilities divide by.
-				for i := 0; i < n; i++ {
-					tot := 0.0
-					for c := 0; c < k; c++ {
-						tot += s.res[i][c]
-					}
-					s.resp[i] = tot
-				}
-			}
-		}
-	}
-	return it
-}
-
-// buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into s.wFlat,
-// center-major, one contiguous n-row per (c, i). The diagonal keeps only the
-// β self-term: the legacy sweep's j != i branch excluded the α self-overlap,
-// while the twin of task i in another job contends fully. Rows whose task
-// demand at the center is zero are skipped — the sweep never reads them.
+// buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into s.wFlat in
+// the OverlapInput.Weights layout: center-major, one contiguous n-row per
+// (c, i). The diagonal keeps only the β self-term: α excludes a task's
+// overlap with itself, while the twin of task i in another job contends
+// fully. Rows whose task demand at the center is zero are skipped — the
+// sweep never reads them.
 func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
 	n, k := s.n, s.k
+	if cap(s.wFlat) < k*n*n {
+		s.wFlat = make([]float64, k*n*n)
+	}
+	s.wFlat = s.wFlat[:k*n*n]
 	otherJobs := float64(in.OtherJobs)
 	for c := 0; c < k; c++ {
 		for i := 0; i < n; i++ {
@@ -659,16 +596,18 @@ func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
 	}
 }
 
-// sweepFused is the struct-of-arrays sweep: the fused weight matrices are
-// built once outside the loop, ρ is stored center-major so each center's
-// arrival sums read two contiguous arrays, and the inner loop is a pure
-// branch-free dot product split over two accumulators (even/odd j) to break
-// the add-latency dependency chain. BatchOverlapSolver lanes replicate this
-// exact accumulation order, so a batch lane and a scalar Step follow
-// bit-identical trajectories.
+// sweepFused is the struct-of-arrays sweep: the fused weight matrices come
+// prebuilt (OverlapInput.Weights) or are built once outside the loop, ρ is
+// stored center-major so each center's arrival sums read two contiguous
+// arrays, and the inner loop is a pure branch-free dot product split over
+// two accumulators (even/odd j) to break the add-latency dependency chain.
 func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
 	n, k := s.n, s.k
-	s.buildFusedWeights(in)
+	w := in.Weights
+	if w == nil {
+		s.buildFusedWeights(in)
+		w = s.wFlat
+	}
 	// All rows start dirty: ρ has never been computed for this iterate.
 	for i := range s.rowDirty {
 		s.rowDirty[i] = true
@@ -706,17 +645,17 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 					if d0 == 0 {
 						s.next[i][c] = 0
 					} else {
-						s.next[i][c] = d0 * s.rowSlowdown(base, i, c, rc)
+						s.next[i][c] = d0 * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
 					}
 					if d1 == 0 {
 						s.next[i+1][c] = 0
 					} else {
-						s.next[i+1][c] = d1 * s.rowSlowdown(base, i+1, c, rc)
+						s.next[i+1][c] = d1 * rowSlowdown(w[(base+i+1)*n:(base+i+2)*n], rc, s.servers[c])
 					}
 					continue
 				}
-				w0 := s.wFlat[(base+i)*n : (base+i+1)*n]
-				w1 := s.wFlat[(base+i+1)*n : (base+i+2)*n]
+				w0 := w[(base+i)*n : (base+i+1)*n]
+				w1 := w[(base+i+1)*n : (base+i+2)*n]
 				var a0, a1, b0, b1 float64
 				var j int
 				for ; j+1 < n; j += 2 {
@@ -746,7 +685,7 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 				if d := in.Tasks[i].Demands[c]; d == 0 {
 					s.next[i][c] = 0
 				} else {
-					s.next[i][c] = d * s.rowSlowdown(base, i, c, rc)
+					s.next[i][c] = d * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
 				}
 			}
 		}
@@ -790,12 +729,11 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 	return it
 }
 
-// rowSlowdown computes one task row's contention slowdown at center c —
-// the single-row tail of the paired dot-product walk in sweepFused, with
-// the identical even/odd accumulation order.
-func (s *OverlapSolver) rowSlowdown(base, i, c int, rc []float64) float64 {
-	n := s.n
-	wRow := s.wFlat[(base+i)*n : (base+i+1)*n]
+// rowSlowdown computes one task row's contention slowdown at a center with
+// the given server count — the single-row tail of the paired dot-product
+// walk in sweepFused, with the identical even/odd accumulation order.
+func rowSlowdown(wRow, rc []float64, servers float64) float64 {
+	n := len(wRow)
 	var a0, a1 float64
 	var j int
 	for ; j+1 < n; j += 2 {
@@ -805,7 +743,7 @@ func (s *OverlapSolver) rowSlowdown(base, i, c int, rc []float64) float64 {
 	if j < n {
 		a0 += wRow[j] * rc[j]
 	}
-	slowdown := (1 + (a0 + a1)) / s.servers[c]
+	slowdown := (1 + (a0 + a1)) / servers
 	if slowdown < 1 {
 		slowdown = 1
 	}

@@ -526,10 +526,142 @@ func TestOverlapSolverWarmAliasPrevious(t *testing.T) {
 	}
 }
 
-// The fused SoA sweep and the legacy element-wise sweep (OverlapInput.Scalar)
-// are different summation orders of the same fixed point: they must agree to
-// 1e-10 relative on every residence entry, over randomized flat and
-// multi-class contended specs.
+// randomOverlap builds a randomized contended overlap spec of shape (n, k):
+// per-task demands in [0.5, 4.5) (occasionally zeroed at one center when
+// k > 1, exercising the skipped-row path), dense random α/β, random small
+// server multiplicities.
+func randomOverlap(rng *rand.Rand, n, k, otherJobs int) OverlapInput {
+	tasks := make([]TaskDemand, n)
+	for i := range tasks {
+		d := make([]float64, k)
+		for c := range d {
+			d[c] = 0.5 + 4*rng.Float64()
+		}
+		if k > 1 && rng.Float64() < 0.25 {
+			d[rng.Intn(k)] = 0
+		}
+		tasks[i] = TaskDemand{Demands: d}
+	}
+	alpha := make([][][]float64, k)
+	beta := make([][][]float64, k)
+	for c := 0; c < k; c++ {
+		alpha[c] = make([][]float64, n)
+		beta[c] = make([][]float64, n)
+		for i := 0; i < n; i++ {
+			alpha[c][i] = make([]float64, n)
+			beta[c][i] = make([]float64, n)
+			for j := 0; j < n; j++ {
+				if i != j {
+					alpha[c][i][j] = rng.Float64()
+				}
+				beta[c][i][j] = 0.5 * rng.Float64()
+			}
+		}
+	}
+	servers := make([]float64, k)
+	for c := range servers {
+		servers[c] = float64(1 + rng.Intn(4))
+	}
+	return OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: servers, OtherJobs: otherJobs, Tol: 1e-11}
+}
+
+func copyResult(res OverlapResult) OverlapResult {
+	out := OverlapResult{
+		Residence:  make([][]float64, len(res.Residence)),
+		Response:   append([]float64(nil), res.Response...),
+		Iterations: res.Iterations,
+	}
+	for i, row := range res.Residence {
+		out.Residence[i] = append([]float64(nil), row...)
+	}
+	return out
+}
+
+// referenceStep solves an Alpha/Beta input with the element-wise sweep
+// below instead of the fused kernel: the same setup, fixed point and
+// acceleration, but per-(i,j) α/β loads with the j != i branch — the
+// formula of Step's doc comment written out literally.
+func referenceStep(in OverlapInput) (OverlapResult, error) {
+	var s OverlapSolver
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	it := s.sweepReference(&in, tol, maxIter)
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// sweepReference is the element-wise sweep behind referenceStep.
+func (s *OverlapSolver) sweepReference(in *OverlapInput, tol float64, maxIter int) int {
+	n, k := s.n, s.k
+	otherJobs := float64(in.OtherJobs)
+	rho := make([]float64, n*k) // task-major visit probabilities
+	var it int
+	for it = 0; it < maxIter; it++ {
+		maxDelta := 0.0
+		for j := 0; j < n; j++ {
+			for c := 0; c < k; c++ {
+				rho[j*k+c] = s.res[j][c] / s.resp[j]
+			}
+		}
+		for i := 0; i < n; i++ {
+			for c := 0; c < k; c++ {
+				d := in.Tasks[i].Demands[c]
+				if d == 0 {
+					s.next[i][c] = 0
+					continue
+				}
+				alphaRow := in.Alpha[c][i]
+				betaRow := in.Beta[c][i]
+				arr := 0.0
+				for j := 0; j < n; j++ {
+					r := rho[j*k+c]
+					if j != i {
+						arr += alphaRow[j] * r
+					}
+					arr += otherJobs * betaRow[j] * r
+				}
+				slowdown := (1 + arr) / s.servers[c]
+				if slowdown < 1 {
+					slowdown = 1
+				}
+				s.next[i][c] = d * slowdown
+			}
+		}
+		for i := 0; i < n; i++ {
+			var tot float64
+			for c := 0; c < k; c++ {
+				tot += s.next[i][c]
+			}
+			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
+				maxDelta = delta
+			}
+			s.resp[i] = tot
+		}
+		s.res, s.next = s.next, s.res
+		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
+		if maxDelta < tol {
+			break
+		}
+		if in.Accelerate {
+			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
+				for i := 0; i < n; i++ {
+					tot := 0.0
+					for c := 0; c < k; c++ {
+						tot += s.res[i][c]
+					}
+					s.resp[i] = tot
+				}
+			}
+		}
+	}
+	return it
+}
+
+// The fused SoA sweep and the element-wise reference sweep are different
+// summation orders of the same fixed point: they must agree to 1e-10
+// relative on every residence entry, over randomized flat and multi-class
+// contended specs.
 func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 40; trial++ {
@@ -545,12 +677,9 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 		}
 		fusedCopy := copyResult(fused)
 
-		legacy := in
-		legacy.Scalar = true
-		var ls OverlapSolver
-		ref, err := ls.Step(legacy)
+		ref, err := referenceStep(in)
 		if err != nil {
-			t.Fatalf("trial %d: scalar: %v", trial, err)
+			t.Fatalf("trial %d: reference: %v", trial, err)
 		}
 		for i := range ref.Response {
 			if rel := math.Abs(fusedCopy.Response[i]-ref.Response[i]) / ref.Response[i]; rel > 1e-10 {
@@ -571,6 +700,66 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// Prebuilt fused weights are the same operand as the Alpha/Beta pair the
+// solver fuses itself: a Step fed W = α + (N−1)β (diagonal (N−1)β) must
+// follow the identical trajectory, bit for bit. Rows with zero demand are
+// filled with NaN to prove the sweep never reads them.
+func TestOverlapPrebuiltWeightsMatchAlphaBeta(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(15)
+		k := 1 + rng.Intn(5)
+		in := randomOverlap(rng, n, k, rng.Intn(5))
+		in.Accelerate = rng.Float64() < 0.5
+		otherJobs := float64(in.OtherJobs)
+		w := make([]float64, k*n*n)
+		for c := 0; c < k; c++ {
+			for i := 0; i < n; i++ {
+				row := w[(c*n+i)*n : (c*n+i+1)*n]
+				for j := range row {
+					if in.Tasks[i].Demands[c] == 0 {
+						row[j] = math.NaN()
+						continue
+					}
+					row[j] = in.Alpha[c][i][j] + otherJobs*in.Beta[c][i][j]
+				}
+				if in.Tasks[i].Demands[c] != 0 {
+					row[i] = otherJobs * in.Beta[c][i][i]
+				}
+			}
+		}
+		var as OverlapSolver
+		want, err := as.Step(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pre := in
+		pre.Weights = w
+		pre.Alpha, pre.Beta = nil, nil
+		var ws OverlapSolver
+		got, err := ws.Step(pre)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Iterations != want.Iterations {
+			t.Errorf("trial %d: %d sweeps with prebuilt weights, %d with alpha/beta", trial, got.Iterations, want.Iterations)
+		}
+		for i := range want.Residence {
+			for c := range want.Residence[i] {
+				if math.Float64bits(got.Residence[i][c]) != math.Float64bits(want.Residence[i][c]) {
+					t.Errorf("trial %d res[%d][%d]: prebuilt %x, alpha/beta %x", trial, i, c, got.Residence[i][c], want.Residence[i][c])
+				}
+			}
+		}
+	}
+	var s OverlapSolver
+	bad := randomOverlap(rng, 3, 2, 1)
+	bad.Weights = make([]float64, 2*3*3-1)
+	if _, err := s.Step(bad); err == nil {
+		t.Error("misshapen Weights accepted")
 	}
 }
 

@@ -12,7 +12,7 @@ package ptree
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"hadoop2perf/internal/timeline"
@@ -162,51 +162,92 @@ func shortClass(c timeline.Class) string {
 	}
 }
 
+// Builder constructs precedence trees into reusable scratch: the nodes
+// live in one arena and the leaves point into a time-sorted copy of the
+// timeline's tasks, so a warmed Builder builds a tree without allocating.
+// Each Build overwrites the tree the previous one returned unless Detach
+// handed it off first. A Builder is not safe for concurrent use.
+type Builder struct {
+	tasks []timeline.Placed // time-sorted task copy; leaves point into it
+	nodes []Node            // arena, never grown past its capacity mid-build
+}
+
+// Detach hands the most recently built tree to the caller: the Builder
+// forgets its arena and task copy, so the next Build allocates new ones
+// instead of overwriting the tree.
+func (b *Builder) Detach() { b.tasks, b.nodes = nil, nil }
+
 // Build constructs the precedence tree from a timeline. Parallel groups are
 // the connected components of the strict-overlap interval graph, taken in
 // time order; each group becomes a balanced binary P-subtree and groups are
-// chained with S operators.
+// chained with S operators. The result is freshly allocated and owned by
+// the caller.
 func Build(tl *timeline.Timeline) (*Node, error) {
+	var b Builder
+	return b.Build(tl)
+}
+
+// Build constructs the precedence tree from a timeline (see the
+// package-level Build), reusing the Builder's scratch. The returned tree is
+// valid until the next Build unless Detach is called.
+func (b *Builder) Build(tl *timeline.Timeline) (*Node, error) {
 	if tl == nil || len(tl.Tasks) == 0 {
 		return nil, errors.New("ptree: empty timeline")
 	}
-	tasks := make([]timeline.Placed, len(tl.Tasks))
-	copy(tasks, tl.Tasks)
-	sort.Slice(tasks, func(i, j int) bool {
-		if tasks[i].Start != tasks[j].Start {
-			return tasks[i].Start < tasks[j].Start
+	n := len(tl.Tasks)
+	b.tasks = append(b.tasks[:0], tl.Tasks...)
+	tasks := b.tasks
+	slices.SortFunc(tasks, func(a, b timeline.Placed) int {
+		if a.Start != b.Start {
+			if a.Start < b.Start {
+				return -1
+			}
+			return 1
 		}
-		return tasks[i].End < tasks[j].End
+		if a.End < b.End {
+			return -1
+		}
+		if a.End != b.End {
+			return 1
+		}
+		return 0
 	})
+	// A binary tree over n leaves has 2n-1 nodes; reserving them up front
+	// keeps every node pointer stable while the tree is linked.
+	if cap(b.nodes) < 2*n-1 {
+		b.nodes = make([]Node, 0, 2*n-1)
+	}
+	b.nodes = b.nodes[:0]
 
 	const eps = 1e-9
-	var groups [][]timeline.Placed
-	var cur []timeline.Placed
+	var root *Node
+	lo := 0
 	curMaxEnd := 0.0
-	for _, t := range tasks {
-		if len(cur) > 0 && t.Start >= curMaxEnd-eps {
-			groups = append(groups, cur)
-			cur = nil
+	for i, t := range tasks {
+		if i > lo && t.Start >= curMaxEnd-eps {
+			root = b.chain(root, lo, i)
+			lo = i
 		}
-		cur = append(cur, t)
 		if t.End > curMaxEnd {
 			curMaxEnd = t.End
 		}
 	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
+	return b.chain(root, lo, n), nil
+}
 
-	var root *Node
-	for _, g := range groups {
-		sub := balancedP(g)
-		if root == nil {
-			root = sub
-		} else {
-			root = &Node{Op: S, Left: root, Right: sub}
-		}
+// chain appends the parallel group tasks[lo:hi] serially after root.
+func (b *Builder) chain(root *Node, lo, hi int) *Node {
+	sub := b.balancedP(lo, hi)
+	if root == nil {
+		return sub
 	}
-	return root, nil
+	return b.node(Node{Op: S, Left: root, Right: sub})
+}
+
+// node places n in the arena and returns its stable address.
+func (b *Builder) node(n Node) *Node {
+	b.nodes = append(b.nodes, n)
+	return &b.nodes[len(b.nodes)-1]
 }
 
 // FromIntervals generalizes Build to arbitrary placed intervals — in
@@ -223,17 +264,13 @@ func FromIntervals(tasks []timeline.Placed) (*Node, error) {
 	return Build(&timeline.Timeline{Tasks: tasks})
 }
 
-// balancedP builds a balanced binary P-subtree over a group of tasks (the
-// paper's balancing procedure).
-func balancedP(group []timeline.Placed) *Node {
-	if len(group) == 1 {
-		t := group[0]
-		return &Node{Op: Leaf, Task: &t}
+// balancedP builds a balanced binary P-subtree over the sorted tasks
+// [lo, hi) (the paper's balancing procedure).
+func (b *Builder) balancedP(lo, hi int) *Node {
+	if hi-lo == 1 {
+		return b.node(Node{Op: Leaf, Task: &b.tasks[lo]})
 	}
-	mid := len(group) / 2
-	return &Node{
-		Op:    P,
-		Left:  balancedP(group[:mid]),
-		Right: balancedP(group[mid:]),
-	}
+	mid := lo + (hi-lo)/2
+	left := b.balancedP(lo, mid)
+	return b.node(Node{Op: P, Left: left, Right: b.balancedP(mid, hi)})
 }

@@ -246,3 +246,51 @@ func TestLeafUniquenessProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A reused Builder reproduces the one-shot Build across changing shapes,
+// allocates nothing once warmed, and never touches a tree it already
+// handed off with Detach.
+func TestBuilderReuse(t *testing.T) {
+	shape := func(maps, reduces, nodes int) *timeline.Timeline {
+		in := timeline.Input{NumNodes: nodes, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, SlowStart: maps%2 == 0}
+		for i := 0; i < maps; i++ {
+			in.Maps = append(in.Maps, timeline.MapTask{ID: i, Duration: 4 + float64(i%5), ShuffleDuration: 1})
+		}
+		for i := 0; i < reduces; i++ {
+			in.Reduces = append(in.Reduces, timeline.ReduceTask{ID: i, ShuffleSortBase: 2, MergeDuration: 3})
+		}
+		return buildTL(t, in)
+	}
+	var b Builder
+	var detached *Node
+	var detachedStr string
+	for k, tl := range []*timeline.Timeline{shape(12, 3, 3), shape(5, 1, 2), shape(40, 8, 4), shape(1, 0, 1), shape(12, 3, 3)} {
+		want, err := Build(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build(tl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != want.String() {
+			t.Errorf("shape %d: reused Builder built %s, one-shot %s", k, got, want)
+		}
+		if err := got.Validate(); err != nil {
+			t.Errorf("shape %d: %v", k, err)
+		}
+		if k == 0 {
+			b.Detach()
+			detached, detachedStr = got, got.String()
+		} else if detached.String() != detachedStr {
+			t.Errorf("shape %d: a detached tree changed under a later build", k)
+		}
+	}
+	tl := shape(40, 8, 4)
+	if _, err := b.Build(tl); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { b.Build(tl) }); allocs != 0 {
+		t.Errorf("warmed Builder.Build allocated %.0f times per run, want 0", allocs)
+	}
+}

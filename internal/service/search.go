@@ -104,8 +104,7 @@ type axisBatchEval func(idxs []int) (rts []float64, cached []bool, err error)
 
 // searchBatchBand is the bracket width at or under which the bisection
 // stops probing point-by-point and batch-evaluates the remaining band in
-// one call. Matches the lane width of the core batch path
-// (mva.BatchLanes) so a band rides a single batched solve.
+// one call, so a band rides one warm-chained batch.
 const searchBatchBand = 4
 
 // searchNodeAxis finds the grid-equivalent candidate set of one node axis

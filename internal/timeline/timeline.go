@@ -17,9 +17,11 @@
 package timeline
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -159,6 +161,9 @@ func (in Input) Validate() error {
 	if len(in.Maps) == 0 {
 		return errors.New("timeline: need at least one map task")
 	}
+	if err := uniqueMapIDs(in.Maps); err != nil {
+		return err
+	}
 	for _, m := range in.Maps {
 		if m.Duration <= 0 {
 			return fmt.Errorf("timeline: map %d has non-positive duration", m.ID)
@@ -174,6 +179,31 @@ func (in Input) Validate() error {
 		if r.ShuffleSortBase+r.MergeDuration <= 0 {
 			return fmt.Errorf("timeline: reduce %d has zero total duration", r.ID)
 		}
+	}
+	return nil
+}
+
+// uniqueMapIDs rejects duplicate map IDs: the remote-shuffle rule prices
+// each map against the node it was placed on, and a repeated ID would make
+// that lookup ambiguous. Strictly increasing IDs (what the model emits) are
+// accepted in one pass without allocating.
+func uniqueMapIDs(maps []MapTask) error {
+	increasing := true
+	for i := 1; i < len(maps); i++ {
+		if maps[i].ID <= maps[i-1].ID {
+			increasing = false
+			break
+		}
+	}
+	if increasing {
+		return nil
+	}
+	seen := make(map[int]bool, len(maps))
+	for _, m := range maps {
+		if seen[m.ID] {
+			return fmt.Errorf("timeline: duplicate map ID %d", m.ID)
+		}
+		seen[m.ID] = true
 	}
 	return nil
 }
@@ -232,21 +262,51 @@ type slot struct {
 // slotPool tracks lanes plus per-node occupancy for the paper's
 // lowest-occupancy-rate placement rule.
 type slotPool struct {
-	slots    []*slot
+	slots    []slot
 	assigned []int // per node
 }
 
+// Builder runs Algorithm 1 into reusable scratch: the lane pools, the
+// map→node index and the returned Timeline itself are recycled, so a
+// warmed Builder places a timeline without allocating. Each Build
+// overwrites the Timeline the previous one returned unless Detach handed it
+// off first. A Builder is not safe for concurrent use.
+type Builder struct {
+	mapSlots, redSlots slotPool
+	nodeOfMap          []int // node of in.Maps[i]
+	tl                 *Timeline
+}
+
+// Detach hands the most recently built Timeline to the caller: the Builder
+// forgets it, so the next Build allocates a new one instead of overwriting
+// it.
+func (b *Builder) Detach() { b.tl = nil }
+
 // Build runs Algorithm 1 and splits each reduce into its shuffle-sort and
-// merge subtasks.
+// merge subtasks. The result is freshly allocated and owned by the caller.
 func Build(in Input) (*Timeline, error) {
+	var b Builder
+	return b.Build(in)
+}
+
+// Build runs Algorithm 1 and splits each reduce into its shuffle-sort and
+// merge subtasks, reusing the Builder's scratch. The returned Timeline is
+// valid until the next Build unless Detach is called.
+func (b *Builder) Build(in Input) (*Timeline, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
-	tl := &Timeline{}
+	if b.tl == nil {
+		b.tl = &Timeline{Tasks: make([]Placed, 0, len(in.Maps)+2*len(in.Reduces))}
+	}
+	tl := b.tl
+	*tl = Timeline{Tasks: tl.Tasks[:0]}
 
 	// Map container lanes (priority 20: placed first).
-	mapSlots := makeSlots(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
-	nodeOfMap := make(map[int]int, len(in.Maps))
+	mapSlots := &b.mapSlots
+	mapSlots.reset(in.NumNodes, in.MapSlotsPerNode, in.MapSlotsByNode)
+	b.nodeOfMap = slices.Grow(b.nodeOfMap[:0], len(in.Maps))[:len(in.Maps)]
+	nodeOfMap := b.nodeOfMap
 	firstMapEnd := math.Inf(1)
 	scaleOn := func(scales []float64, node int) float64 {
 		if scales == nil {
@@ -254,12 +314,12 @@ func Build(in Input) (*Timeline, error) {
 		}
 		return scales[node]
 	}
-	for _, m := range in.Maps {
+	for i, m := range in.Maps {
 		s := mapSlots.earliest()
 		start := s.free
 		end := start + m.Duration*scaleOn(in.MapDurationScaleByNode, s.node)
 		s.free = end
-		nodeOfMap[m.ID] = s.node
+		nodeOfMap[i] = s.node
 		tl.Tasks = append(tl.Tasks, Placed{
 			Class: ClassMap, ID: m.ID, Node: s.node, Slot: s.lane, Start: start, End: end,
 		})
@@ -280,7 +340,8 @@ func Build(in Input) (*Timeline, error) {
 	}
 
 	// Reduce container lanes (priority 10: placed after all maps).
-	redSlots := makeSlots(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
+	redSlots := &b.redSlots
+	redSlots.reset(in.NumNodes, in.ReduceSlotsPerNode, in.ReduceSlotsByNode)
 	nR := len(in.Reduces)
 	for _, r := range in.Reduces {
 		s := redSlots.earliest()
@@ -290,8 +351,8 @@ func Build(in Input) (*Timeline, error) {
 		// node contributes sd/|R|. The node-local base scales with the
 		// hosting node; the remote shares ride the shared network and do not.
 		ssDur := r.ShuffleSortBase * redScale
-		for _, m := range in.Maps {
-			if nodeOfMap[m.ID] != s.node {
+		for i, m := range in.Maps {
+			if nodeOfMap[i] != s.node {
 				ssDur += m.ShuffleDuration / float64(nR)
 			}
 		}
@@ -315,35 +376,38 @@ func Build(in Input) (*Timeline, error) {
 			tl.Makespan = t.End
 		}
 	}
-	sort.Slice(tl.Tasks, func(i, j int) bool {
-		a, b := tl.Tasks[i], tl.Tasks[j]
+	slices.SortFunc(tl.Tasks, func(a, b Placed) int {
 		if a.Start != b.Start {
-			return a.Start < b.Start
+			if a.Start < b.Start {
+				return -1
+			}
+			return 1
 		}
 		if a.Class != b.Class {
-			return a.Class < b.Class
+			return cmp.Compare(a.Class, b.Class)
 		}
-		return a.ID < b.ID
+		return cmp.Compare(a.ID, b.ID)
 	})
 	return tl, nil
 }
 
-// makeSlots builds the lane pool: perNode lanes on every node, or byNode[n]
-// lanes on node n when a per-node vector is given. Lanes are interleaved
-// lane-major (lane 0 of every node, then lane 1, ...) so that for a uniform
-// vector the pool is identical to the homogeneous layout — placement, and
-// therefore predictions, stay bit-for-bit reproducible.
-func makeSlots(nodes, perNode int, byNode []int) *slotPool {
-	p := &slotPool{assigned: make([]int, nodes)}
-	maxLanes := perNode
+// reset rebuilds the lane pool in place: perNode lanes on every node, or
+// byNode[n] lanes on node n when a per-node vector is given. Lanes are
+// interleaved lane-major (lane 0 of every node, then lane 1, ...) so that
+// for a uniform vector the pool is identical to the homogeneous layout —
+// placement, and therefore predictions, stay bit-for-bit reproducible.
+func (p *slotPool) reset(nodes, perNode int, byNode []int) {
+	p.assigned = slices.Grow(p.assigned[:0], nodes)[:nodes]
+	clear(p.assigned)
+	maxLanes, total := perNode, perNode*nodes
 	if byNode != nil {
-		maxLanes = 0
+		maxLanes, total = 0, 0
 		for _, c := range byNode {
-			if c > maxLanes {
-				maxLanes = c
-			}
+			maxLanes = max(maxLanes, c)
+			total += c
 		}
 	}
+	p.slots = slices.Grow(p.slots[:0], total)
 	for lane := 0; lane < maxLanes; lane++ {
 		for n := 0; n < nodes; n++ {
 			lanes := perNode
@@ -351,11 +415,10 @@ func makeSlots(nodes, perNode int, byNode []int) *slotPool {
 				lanes = byNode[n]
 			}
 			if lane < lanes {
-				p.slots = append(p.slots, &slot{node: n, lane: lane})
+				p.slots = append(p.slots, slot{node: n, lane: lane})
 			}
 		}
 	}
-	return p
 }
 
 // earliest picks the slot that frees first; ties go to the node with the
@@ -363,8 +426,9 @@ func makeSlots(nodes, perNode int, byNode []int) *slotPool {
 // lowest occupancy rate"), then the lower node ID.
 func (p *slotPool) earliest() *slot {
 	const eps = 1e-12
-	best := p.slots[0]
-	for _, s := range p.slots[1:] {
+	best := &p.slots[0]
+	for i := 1; i < len(p.slots); i++ {
+		s := &p.slots[i]
 		switch {
 		case s.free < best.free-eps:
 			best = s

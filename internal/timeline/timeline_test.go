@@ -2,6 +2,7 @@ package timeline
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -453,5 +454,92 @@ func TestPerNodeSlotsAndScalesSkewPlacement(t *testing.T) {
 	}
 	if slowMaps >= perNode[1] {
 		t.Errorf("slow node still hosts %d maps (unscaled run: %d); want fewer", slowMaps, perNode[1])
+	}
+}
+
+// Map IDs must be unique: the remote-shuffle rule prices each map against
+// the node it was placed on, so a repeated ID would silently price the
+// shuffle against the wrong node. Any order is accepted as long as the IDs
+// are distinct.
+func TestValidateRejectsDuplicateMapIDs(t *testing.T) {
+	tests := []struct {
+		name string
+		ids  []int
+		ok   bool
+	}{
+		{"increasing", []int{0, 1, 2, 3}, true},
+		{"sparse increasing", []int{3, 7, 40}, true},
+		{"unordered distinct", []int{2, 0, 3, 1}, true},
+		{"single", []int{5}, true},
+		{"adjacent duplicate", []int{0, 1, 1, 2}, false},
+		{"distant duplicate", []int{4, 0, 1, 4}, false},
+		{"all equal", []int{0, 0, 0}, false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			in := Input{NumNodes: 2, MapSlotsPerNode: 1, ReduceSlotsPerNode: 1,
+				Reduces: []ReduceTask{{ID: 0, ShuffleSortBase: 1, MergeDuration: 1}}}
+			for _, id := range tt.ids {
+				in.Maps = append(in.Maps, MapTask{ID: id, Duration: 2, ShuffleDuration: 1})
+			}
+			err := in.Validate()
+			if tt.ok && err != nil {
+				t.Errorf("distinct IDs %v rejected: %v", tt.ids, err)
+			}
+			if !tt.ok && err == nil {
+				t.Errorf("duplicate IDs %v accepted", tt.ids)
+			}
+		})
+	}
+}
+
+// A reused Builder reproduces the one-shot Build exactly across changing
+// shapes, allocates nothing once warmed, and never touches a Timeline it
+// already handed off with Detach.
+func TestBuilderReuse(t *testing.T) {
+	shape := func(maps, reduces, nodes int, slow bool) Input {
+		in := Input{NumNodes: nodes, MapSlotsPerNode: 2, ReduceSlotsPerNode: 1, SlowStart: slow,
+			MapSlotsByNode: make([]int, nodes), ReduceSlotsByNode: make([]int, nodes)}
+		for n := range in.MapSlotsByNode {
+			in.MapSlotsByNode[n] = 1 + n%3
+			in.ReduceSlotsByNode[n] = 1 + n%2
+		}
+		for i := 0; i < maps; i++ {
+			in.Maps = append(in.Maps, MapTask{ID: i, Duration: 5 + float64(i%4), ShuffleDuration: 0.5})
+		}
+		for i := 0; i < reduces; i++ {
+			in.Reduces = append(in.Reduces, ReduceTask{ID: i, ShuffleSortBase: 2, MergeDuration: 3})
+		}
+		return in
+	}
+	var b Builder
+	var detached *Timeline
+	var detachedTasks []Placed
+	for k, in := range []Input{shape(12, 3, 4, true), shape(40, 8, 5, false), shape(3, 1, 1, true), shape(12, 3, 4, true)} {
+		want, err := Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := b.Build(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got.Tasks, want.Tasks) || got.Makespan != want.Makespan ||
+			got.Border != want.Border || got.LastMapEnd != want.LastMapEnd {
+			t.Errorf("shape %d: reused Builder diverged from one-shot Build", k)
+		}
+		if k == 0 {
+			b.Detach()
+			detached, detachedTasks = got, slices.Clone(got.Tasks)
+		} else if !slices.Equal(detached.Tasks, detachedTasks) {
+			t.Errorf("shape %d: a detached Timeline changed under a later build", k)
+		}
+	}
+	in := shape(40, 8, 5, true)
+	if _, err := b.Build(in); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { b.Build(in) }); allocs != 0 {
+		t.Errorf("warmed Builder.Build allocated %.0f times per run, want 0", allocs)
 	}
 }
