@@ -638,8 +638,9 @@ func mvaBenchInput() mva.OverlapInput {
 	return mva.OverlapInput{Tasks: tasks, Alpha: alpha, Beta: beta, Servers: []float64{4, 1, 2}, OtherJobs: 3}
 }
 
-// BenchmarkMVAOverlapStep measures the fused struct-of-arrays overlap kernel
-// (the default since PR 8).
+// BenchmarkMVAOverlapStep measures one overlap-weighted MVA step through
+// the production block kernel (AVX2 where the CPU has it): α/β fusion into
+// the blocked weight layout plus the sweeps.
 func BenchmarkMVAOverlapStep(b *testing.B) {
 	in := mvaBenchInput()
 	b.ResetTimer()

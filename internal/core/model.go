@@ -247,13 +247,13 @@ type classData struct {
 func (c *classData) demandTotal() float64 { return c.demCPU + c.demDisk + c.demNetwork }
 
 // Predictor is a reusable, allocation-free model evaluator: the timeline
-// and precedence-tree builders, the O(T²) fused overlap weights, the MVA
-// solver scratch, the timeline inputs and the per-iteration lookup tables
-// live on the Predictor and are recycled across outer rounds and across
-// predictions, so a warmed Predictor's outer round allocates nothing. The
-// final round's Timeline and Tree are detached into the returned
-// Prediction, so a reused Predictor never mutates an answer it already
-// returned.
+// and precedence-tree builders, the MVA solver scratch (which holds the
+// O(T²) fused overlap weights), the timeline inputs and the per-iteration
+// lookup tables live on the Predictor and are recycled across outer
+// rounds and across predictions, so a warmed Predictor's outer round
+// allocates nothing. The final round's Timeline and Tree are detached into
+// the returned Prediction, so a reused Predictor never mutates an answer
+// it already returned.
 //
 // A Predictor is not safe for concurrent use; pool Predictors (one per
 // worker) to serve parallel predictions. Results are bit-identical to the
@@ -267,10 +267,6 @@ type Predictor struct {
 	// A2/A3 scratch: each outer round's timeline and precedence tree.
 	tlb timeline.Builder
 	ptb ptree.Builder
-
-	// weights is A4's output in the mva.OverlapInput.Weights layout: one
-	// n×n fused matrix W = α + (N−1)β per center, center-major.
-	weights []float64
 
 	// Per-task MVA demands, flat-backed with a numCenters stride.
 	demands []mva.TaskDemand
@@ -288,13 +284,15 @@ type Predictor struct {
 	// Center service multiplicities, rebuilt per prediction.
 	servers []float64
 
-	// Per-iteration lookup tables, cleared instead of reallocated. Lanes are
-	// resolved to dense indices once per round (laneWindows); the factor
-	// loops index laneOf/laneWins instead of hashing per pair.
-	lanes    map[laneKey]int
-	laneOf   []int
-	laneWins []laneWindow
-	respOf   map[classTask]float64
+	// Per-iteration lookup tables, rewritten instead of reallocated. Lanes
+	// are resolved to dense indices once per round (laneWindows); the factor
+	// loops index laneOf/laneWins. respOf[class·n+ID] is a placed task's
+	// MVA response, the A6 leaf lookup.
+	laneBase  []int
+	laneOf    []int
+	laneWins  []laneWindow
+	laneShare []float64
+	respOf    []float64
 
 	// Warm-start state (warm.go): a small pool of converged solutions
 	// PredictWarm seeds from, scratch for viewing a pooled flat residence
@@ -574,10 +572,14 @@ func (p *Predictor) roundArtifacts(cfg Config, classes map[timeline.Class]*class
 	}
 	// A4: overlap factors, fused into the kernel's weights.
 	taskDemands := p.demandsFor(cfg, tl, classes)
+	weights, err := p.overlapFactors(tl, cfg.NumJobs-1, taskDemands)
+	if err != nil {
+		return nil, nil, mva.OverlapInput{}, err
+	}
 	p.servers = p.hw.servers(p.servers)
 	return tl, tree, mva.OverlapInput{
 		Tasks:      taskDemands,
-		Weights:    p.overlapFactors(tl, cfg.NumJobs-1),
+		Weights:    weights,
 		Servers:    p.servers,
 		OtherJobs:  cfg.NumJobs - 1,
 		Warm:       warm,
@@ -880,11 +882,12 @@ const numClasses = 3
 // overlapFactors computes α (intra-job) and β (inter-job) per center and
 // writes them fused, W^k_ij = α^k_ij + (N−1)·β^k_ij with the diagonal
 // (N−1)·β^k_ii alone (a task does not overlap itself within its own job),
-// into the Predictor's weights in the mva.OverlapInput.Weights layout.
-// Only the rows the MVA sweep reads are written: task i's rows at its own
-// class's CPU and Disk centers and at the Network center; its demand
-// elsewhere is zero. Each entry is computed with the same expression the
-// solver's own α/β fusion uses, so the weights are bit-identical to it.
+// into the solver's weight buffer in the blocked mva.OverlapInput.Weights
+// layout. Only the rows the MVA sweep reads exist there: task i's rows at
+// its own class's CPU and Disk centers and, for a task with network demand,
+// at the Network center; its demand elsewhere is zero. Each entry is
+// computed with the same expression the solver's own α/β fusion uses, so
+// the weights are bit-identical to it.
 //
 // α^k_ij is the fraction of task i's execution that overlaps task j's, masked
 // by center visibility: the CPU&Memory center is per-node, so only
@@ -899,39 +902,45 @@ const numClasses = 3
 // other job's tasks spread over nodes in proportion to their share of the
 // container pool, which for a flat spec reduces to the paper's uniform
 // 1/numNodes.
-func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float64 {
+func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks []mva.TaskDemand) ([]float64, error) {
 	hw := &p.hw
 	n := len(tl.Tasks)
-	p.weights = resizeFloats(p.weights, hw.nc*n*n)
-	w := p.weights
+	w, rowBase, err := p.solver.Weights(tasks)
+	if err != nil {
+		return nil, err
+	}
 	nj := float64(otherJobs)
 	laneOf, wins := p.laneWindows(tl)
+	// share[j] is task j's part of its lane's busy time.
+	p.laneShare = resizeFloats(p.laneShare, n)
+	share := p.laneShare
+	for j, tj := range tl.Tasks {
+		if wl := &wins[laneOf[j]]; wl.total > 0 {
+			share[j] = tj.Duration() / wl.total
+		}
+	}
 	netC := hw.netCenter()
 	for i := 0; i < n; i++ {
 		ti := tl.Tasks[i]
 		ci := hw.classOf[ti.Node]
-		cpuC, diskC := hw.cpuCenter(ci), hw.diskCenter(ci)
 		di := ti.Duration()
 		li := laneOf[i]
 		// The twin of task j draws its node from j's container pool; node(i)
 		// hosts a pool share of slots(class(i))/totalSlots.
 		invWMap, invWRed := hw.invWMap[ci], hw.invWRed[ci]
-		wNet := w[(netC*n+i)*n : (netC*n+i+1)*n]
-		wCPU := w[(cpuC*n+i)*n : (cpuC*n+i+1)*n]
-		wDisk := w[(diskC*n+i)*n : (diskC*n+i+1)*n]
+		// Row offsets in the blocked layout: W[c][i][j] sits at base + 4j;
+		// a negative base marks a row without demand, which is not stored.
+		bNet := rowBase[netC*n+i]
+		bCPU := rowBase[hw.cpuCenter(ci)*n+i]
+		bDisk := rowBase[hw.diskCenter(ci)*n+i]
 		for j := 0; j < n; j++ {
+			if j == i {
+				continue // the diagonal is written below
+			}
 			tj := &tl.Tasks[j]
 			invW := invWMap
 			if tj.Class != timeline.ClassMap {
 				invW = invWRed
-			}
-			if i == j {
-				// The twin of task i in another job overlaps fully (β = 1 at
-				// the network, the co-location weight at the node centers).
-				wNet[i] = nj * 1
-				wCPU[i] = nj * (1 / invW)
-				wDisk[i] = wCPU[i]
-				continue
 			}
 			ov := 0.0
 			if di > 0 {
@@ -948,7 +957,9 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float
 			}
 			// Network: global center, pairwise transfer overlap — the same
 			// α and β time-overlap (see the doc comment above).
-			wNet[j] = ov + nj*ov
+			if bNet >= 0 {
+				w[bNet+4*j] = ov + nj*ov
+			}
 			// CPU and Disk: per-node centers (task i contends at its own
 			// class's center pair). Contention is assessed against the *lane*
 			// hosting task j rather than j's exact interval: on the real
@@ -963,25 +974,42 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int) []float
 				alpha = ov
 				if lj != li {
 					if wl := &wins[lj]; wl.total > 0 && di > 0 {
-						alpha = timeline.Overlap(ti, wl.placed) / di * (tj.Duration() / wl.total)
+						alpha = timeline.Overlap(ti, wl.placed) / di * share[j]
 					}
 				} else {
 					alpha = 0
 				}
 			}
-			wCPU[j] = alpha + nj*(ov/invW)
-			wDisk[j] = wCPU[j]
+			node := alpha
+			if ov != 0 {
+				// With ov = 0 the β term adds +0, which leaves alpha (never
+				// −0) unchanged.
+				node = alpha + nj*(ov/invW)
+			}
+			if bCPU >= 0 {
+				w[bCPU+4*j] = node
+			}
+			if bDisk >= 0 {
+				w[bDisk+4*j] = node
+			}
+		}
+		// The twin of task i in another job overlaps fully (β = 1 at the
+		// network, the co-location weight at the node centers).
+		invW := invWMap
+		if ti.Class != timeline.ClassMap {
+			invW = invWRed
+		}
+		if bNet >= 0 {
+			w[bNet+4*i] = nj * 1
+		}
+		if bCPU >= 0 {
+			w[bCPU+4*i] = nj * (1 / invW)
+		}
+		if bDisk >= 0 {
+			w[bDisk+4*i] = nj * (1 / invW)
 		}
 	}
-	return w
-}
-
-// laneKey identifies one container lane: reduce subtasks (shuffle-sort and
-// merge) share their reducer's lane; maps have their own lane pool.
-type laneKey struct {
-	mapPool bool
-	node    int
-	slot    int
+	return w, nil
 }
 
 // laneWindow is the busy envelope of one lane.
@@ -991,34 +1019,52 @@ type laneWindow struct {
 }
 
 // laneWindows resolves each task's container lane to a dense index and
-// builds the per-lane busy envelopes. The map is only touched once per task
-// here (ID assignment); the O(n²) factor loop above indexes slices — the
-// n² map hashes of the historical per-pair laneOverlap lookups dominated
-// the outer round's artifact cost once the MVA sweep itself got cheap.
+// builds the per-lane busy envelopes. Lanes are numbered by pool, node and
+// slot: every map lane of the round's timeline (node by node, each node's
+// slots in order), then every reduce lane; reduce subtasks (shuffle-sort
+// and merge) share their reducer's lane. The O(n²) factor loop indexes
+// laneOf/laneWins instead of looking lanes up per pair.
 func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []laneWindow) {
-	if p.lanes == nil {
-		p.lanes = make(map[laneKey]int)
+	nodes := len(p.mapSlotsBy)
+	p.laneBase = resizeInts(p.laneBase, 2*nodes)
+	lanes := 0
+	for n, slots := range p.mapSlotsBy {
+		p.laneBase[n] = lanes
+		lanes += slots
 	}
-	clear(p.lanes)
-	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
-	p.laneWins = p.laneWins[:0]
-	for i, t := range tl.Tasks {
-		k := laneKey{mapPool: t.Class == timeline.ClassMap, node: t.Node, slot: t.Slot}
-		id, ok := p.lanes[k]
-		if !ok {
-			id = len(p.laneWins)
-			p.lanes[k] = id
-			p.laneWins = append(p.laneWins, laneWindow{placed: t})
-		} else {
-			w := &p.laneWins[id]
-			if t.Start < w.placed.Start {
-				w.placed.Start = t.Start
-			}
-			if t.End > w.placed.End {
-				w.placed.End = t.End
-			}
+	for n, slots := range p.redSlotsBy {
+		p.laneBase[nodes+n] = lanes
+		lanes += slots
+	}
+	if cap(p.laneWins) < lanes {
+		// Capacity for every lane the cluster could hold (one job's
+		// share is at most all of a node's containers), so a pooled
+		// Predictor does not reallocate as the job count varies.
+		perNode := 0
+		for c := range p.hw.classes {
+			perNode = max(perNode, max(p.hw.mapsPer[c], 1)+max(p.hw.redsPer[c], 1))
 		}
-		p.laneWins[id].total += t.Duration()
+		p.laneWins = make([]laneWindow, lanes, max(lanes, nodes*perNode))
+	}
+	p.laneWins = p.laneWins[:lanes]
+	for i := range p.laneWins {
+		// An empty envelope: the first task's interval replaces it whole.
+		p.laneWins[i] = laneWindow{placed: timeline.Placed{Start: math.Inf(1), End: math.Inf(-1)}}
+	}
+	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
+	for i, t := range tl.Tasks {
+		id := p.laneBase[t.Node] + t.Slot
+		if t.Class != timeline.ClassMap {
+			id = p.laneBase[nodes+t.Node] + t.Slot
+		}
+		w := &p.laneWins[id]
+		if t.Start < w.placed.Start {
+			w.placed.Start = t.Start
+		}
+		if t.End > w.placed.End {
+			w.placed.End = t.End
+		}
+		w.total += t.Duration()
 		p.laneOf[i] = id
 	}
 	return p.laneOf, p.laneWins
@@ -1105,29 +1151,28 @@ func classMeans(tl *timeline.Timeline, resp []float64, out *[numClasses]float64)
 	}
 }
 
-// classTask identifies a placed task by class and ID (the estimate lookup
-// key).
-type classTask struct {
-	cls timeline.Class
-	id  int
-}
-
 // estimate computes the job response time from the precedence tree using the
 // configured estimator; leaf response times come from the MVA step (per
 // task), leaf CVs from the class data.
 func (p *Predictor) estimate(cfg Config, tree *ptree.Node, tl *timeline.Timeline, taskResp []float64, classes map[timeline.Class]*classData) (float64, error) {
-	// Index placed tasks to their MVA responses.
-	if p.respOf == nil {
-		p.respOf = make(map[classTask]float64, len(tl.Tasks))
-	}
-	clear(p.respOf)
+	// Index placed tasks to their MVA responses by class and ID: the model
+	// numbers each class's tasks from 0, so respOf[class·n + ID] holds
+	// them all; an unindexed leaf reads 0.
+	n := len(tl.Tasks)
+	p.respOf = resizeFloats(p.respOf, numClasses*n)
 	respOf := p.respOf
+	clear(respOf)
 	for i, t := range tl.Tasks {
-		respOf[classTask{t.Class, t.ID}] = taskResp[i]
+		if t.ID >= 0 && t.ID < n {
+			respOf[int(t.Class)*n+t.ID] = taskResp[i]
+		}
 	}
 	leaf := func(t *timeline.Placed) (mean, cv float64, err error) {
-		m, ok := respOf[classTask{t.Class, t.ID}]
-		if !ok || m <= 0 {
+		var m float64
+		if t.ID >= 0 && t.ID < n {
+			m = respOf[int(t.Class)*n+t.ID]
+		}
+		if m <= 0 {
 			return 0, 0, fmt.Errorf("core: no response for %s task %d", t.Class, t.ID)
 		}
 		// Pipeline-clamped tasks (a shuffle cannot end before the last map)

@@ -131,18 +131,21 @@ func TestOverlapFactorsMatchAlphaBetaOracle(t *testing.T) {
 			}
 			alpha, beta := refOverlapFactors(p, tl)
 			n := len(tl.Tasks)
-			if len(in.Weights) != p.hw.nc*n*n {
-				t.Fatalf("trial %d: %d weights, want %d", trial, len(in.Weights), p.hw.nc*n*n)
-			}
-			checked := 0
+			// The blocked layout, as OverlapInput.Weights documents it: per
+			// center the demanded rows in task order, four to a block of 4n
+			// entries, j-major inside the block.
+			checked, blocks := 0, 0
 			for c := 0; c < p.hw.nc; c++ {
+				r := 0
 				for i := 0; i < n; i++ {
 					if in.Tasks[i].Demands[c] == 0 {
 						continue
 					}
 					checked++
-					row := in.Weights[(c*n+i)*n : (c*n+i+1)*n]
-					for j, got := range row {
+					base := (blocks+r/4)*4*n + r%4
+					r++
+					for j := 0; j < n; j++ {
+						got := in.Weights[base+4*j]
 						want := alpha[c][i][j] + nj*beta[c][i][j]
 						if j == i {
 							want = nj * beta[c][i][i]
@@ -153,6 +156,10 @@ func TestOverlapFactorsMatchAlphaBetaOracle(t *testing.T) {
 						}
 					}
 				}
+				blocks += (r + 3) / 4
+			}
+			if len(in.Weights) != blocks*4*n {
+				t.Fatalf("trial %d: %d weights, want %d (%d blocks)", trial, len(in.Weights), blocks*4*n, blocks)
 			}
 			if checked == 0 {
 				t.Fatalf("trial %d: no rows with demand", trial)

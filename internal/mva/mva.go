@@ -339,16 +339,21 @@ type TaskDemand struct {
 }
 
 // OverlapInput drives one overlap-weighted residence-time step. The
-// overlap enters either as the fused weight matrices (Weights) or as the
-// α/β pair the solver fuses itself (Alpha, Beta).
+// overlap enters either as the fused weights (Weights) or as the α/β pair
+// the solver fuses itself (Alpha, Beta).
 type OverlapInput struct {
 	Tasks []TaskDemand
-	// Weights, when non-nil, holds the fused weight matrices
-	// W^c_ij = α^c_ij + (N−1)β^c_ij (diagonal (N−1)β^c_ii only) flat and
-	// center-major: W^c_ij is Weights[(c·n+i)·n+j] for n tasks, k·n·n
-	// entries in all. The sweep reads row (c, i) only when task i has
-	// nonzero demand at center c; other rows may hold anything. Alpha and
-	// Beta are ignored when Weights is set.
+	// Weights, when non-nil, holds the fused weights
+	// W^c_ij = α^c_ij + (N−1)β^c_ij (diagonal (N−1)β^c_ii only) in the
+	// blocked row layout the sweep kernel reads. Only rows (c, i) whose task
+	// i has nonzero demand at center c are stored: per center in task order,
+	// packed four rows to a block of 4n entries, j-major inside the block, so
+	// the r-th stored row of center c puts W^c_ij at
+	// (B_c + ⌊r/4⌋)·4n + r mod 4 + 4j, where B_c counts the blocks of the
+	// centers before c. Each center's final partial block is padded to four
+	// lanes; the padding lanes' contents never reach a result.
+	// OverlapSolver.Weights returns a buffer in this layout with each row's
+	// offset. Alpha and Beta are ignored when Weights is set.
 	Weights []float64
 	// Alpha[k][i][j] is the intra-job overlap factor between tasks i and j as
 	// seen by center k (per-node centers zero out pairs on different nodes).
@@ -407,13 +412,27 @@ type OverlapSolver struct {
 	resp     []float64
 	servers  []float64
 	rhoC     []float64 // k×n center-major visit probabilities
-	wFlat    []float64 // k×n×n fused weights built from Alpha/Beta
-	rowDirty []bool    // rows whose residence changed on the last sweep
-	acc      Aitken    // Δ² accelerator scratch (Accelerate inputs only)
-	n, k     int
+	rowSum   []float64 // per-task residence total of the sweep in progress
+	// rowDirty marks the tasks whose residence changed on the last sweep;
+	// the sweep in progress marks rowChanged, and the two swap.
+	rowDirty, rowChanged []bool
+	acc                  Aitken // Δ² accelerator scratch (Accelerate inputs only)
+	n, k                 int
+
+	// The blocked weight layout of the current task set (see
+	// OverlapInput.Weights). Row slots count four per block; every center
+	// starts on a block boundary.
+	w       []float64 // solver-owned weights (Weights, or fused from Alpha/Beta)
+	rowBase []int     // k×n: offset of W^c_i0, or -1 where task i has no demand at c
+	blkOff  []int     // k+1: center c owns blocks blkOff[c] .. blkOff[c+1]-1
+	rowsAt  []int     // k: demanded rows per center (the rest are padding)
+	rowTask []int     // per row slot: its task, or -1 for a padding lane
+	rowDem  []float64 // per row slot: that task's demand at the slot's center
+	slow    []float64 // one center's kernel output, a slowdown per row slot
 }
 
-// ensure sizes the scratch for n tasks over k centers, reusing capacity.
+// ensure sizes the residence scratch for n tasks over k centers, reusing
+// capacity.
 func (s *OverlapSolver) ensure(n, k int) {
 	if s.n == n && s.k == k {
 		return
@@ -430,8 +449,10 @@ func (s *OverlapSolver) ensure(n, k int) {
 	s.rhoC = s.rhoC[:need]
 	if cap(s.rowDirty) < n {
 		s.rowDirty = make([]bool, n)
+		s.rowChanged = make([]bool, n)
 	}
 	s.rowDirty = s.rowDirty[:n]
+	s.rowChanged = s.rowChanged[:n]
 	if cap(s.res) < n {
 		s.res = make([][]float64, n)
 		s.next = make([][]float64, n)
@@ -442,14 +463,128 @@ func (s *OverlapSolver) ensure(n, k int) {
 		s.res[i] = s.resFlat[i*k : (i+1)*k : (i+1)*k]
 		s.next[i] = s.nextFlat[i*k : (i+1)*k : (i+1)*k]
 	}
-	if cap(s.resp) < n {
-		s.resp = make([]float64, n)
+	s.resp = growFloats(s.resp, n)
+	s.rowSum = growFloats(s.rowSum, n)
+	s.servers = growFloats(s.servers, k)
+}
+
+func growFloats(s []float64, n int) []float64 {
+	if cap(s) < n {
+		return make([]float64, n)
 	}
-	s.resp = s.resp[:n]
-	if cap(s.servers) < k {
-		s.servers = make([]float64, k)
+	return s[:n]
+}
+
+func growInts(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
 	}
-	s.servers = s.servers[:k]
+	return s[:n]
+}
+
+// validateTasks checks a task set's demand vectors: at least one task, one
+// common nonzero center count, finite nonnegative demands and a positive
+// total demand per task.
+func validateTasks(tasks []TaskDemand) error {
+	if len(tasks) == 0 {
+		return errors.New("mva: no tasks")
+	}
+	k := len(tasks[0].Demands)
+	if k == 0 {
+		return errors.New("mva: tasks need at least one center demand")
+	}
+	for i, t := range tasks {
+		if len(t.Demands) != k {
+			return fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
+		}
+		tot := 0.0
+		for _, d := range t.Demands {
+			if d < 0 {
+				return fmt.Errorf("mva: task %d has negative demand", i)
+			}
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				return fmt.Errorf("mva: task %d has non-finite demand %v", i, d)
+			}
+			tot += d
+		}
+		if tot <= 0 {
+			return fmt.Errorf("mva: task %d has zero total demand", i)
+		}
+	}
+	return nil
+}
+
+// layout lays out the blocked weight rows of a validated task set and
+// returns the number of weights they span.
+func (s *OverlapSolver) layout(tasks []TaskDemand) int {
+	n, k := len(tasks), len(tasks[0].Demands)
+	s.rowBase = growInts(s.rowBase, k*n)
+	s.blkOff = growInts(s.blkOff, k+1)
+	s.rowsAt = growInts(s.rowsAt, k)
+	// Capacity follows the shape, not the demand pattern: at most n rows
+	// per center, padded by up to 3. A solver reused across the patterns
+	// of one shape then never reallocates.
+	if slots := k * (n + 3); cap(s.rowTask) < slots {
+		s.rowTask, s.rowDem = make([]int, 0, slots), make([]float64, 0, slots)
+	}
+	s.rowTask, s.rowDem = s.rowTask[:0], s.rowDem[:0]
+	maxSlots := 0
+	for c := 0; c < k; c++ {
+		first := len(s.rowTask)
+		s.blkOff[c] = first / 4
+		for i := range tasks {
+			d := tasks[i].Demands[c]
+			if d == 0 {
+				s.rowBase[c*n+i] = -1
+				continue
+			}
+			r := len(s.rowTask)
+			s.rowBase[c*n+i] = (r&^3)*n + r&3
+			s.rowTask = append(s.rowTask, i)
+			s.rowDem = append(s.rowDem, d)
+		}
+		s.rowsAt[c] = len(s.rowTask) - first
+		for len(s.rowTask)%4 != 0 {
+			s.rowTask = append(s.rowTask, -1)
+			s.rowDem = append(s.rowDem, 0)
+		}
+		maxSlots = max(maxSlots, len(s.rowTask)-first)
+	}
+	s.blkOff[k] = len(s.rowTask) / 4
+	s.slow = growFloats(s.slow, n+3)[:maxSlots]
+	return len(s.rowTask) * n
+}
+
+// Weights lays out the solver's own weight buffer for tasks in the blocked
+// OverlapInput.Weights layout and returns it with the row offsets:
+// W^c_ij belongs at w[rowBase[c·n+i] + 4j], and rowBase[c·n+i] is -1 where
+// task i has no demand at center c (the sweep never reads that row, so it
+// is not stored). The caller writes every stored row and passes w back as
+// OverlapInput.Weights with the same Tasks; the padding lanes come zeroed.
+// Both slices are solver scratch, valid until the next Weights or Step call.
+func (s *OverlapSolver) Weights(tasks []TaskDemand) (w []float64, rowBase []int, err error) {
+	if err := validateTasks(tasks); err != nil {
+		return nil, nil, err
+	}
+	s.sizeWeights(len(tasks), s.layout(tasks))
+	return s.w, s.rowBase, nil
+}
+
+// sizeWeights sizes the solver-owned weight buffer to the current layout
+// of n tasks (size weights) and zeroes its padding lanes.
+func (s *OverlapSolver) sizeWeights(n, size int) {
+	if c := cap(s.rowTask) * n; cap(s.w) < size {
+		s.w = make([]float64, size, c) // the layout's capacity bound
+	}
+	s.w = s.w[:size]
+	for r, i := range s.rowTask {
+		if i < 0 {
+			pad := s.w[(r&^3)*n : (r&^3+4)*n]
+			for j := r & 3; j < len(pad); j += 4 {
+				pad[j] = 0
+			}
+		}
+	}
 }
 
 // Step solves the overlap-weighted residence-time fixed point
@@ -465,40 +600,38 @@ func (s *OverlapSolver) ensure(n, k int) {
 // fluid processor-sharing law: no slowdown until the expected concurrency
 // exceeds the server count. Iterates until response times are stable.
 // The arrival sum is evaluated as sum_j W^k_ij ρ_jk over the fused weights
-// (OverlapInput.Weights, or built once per Step from Alpha and Beta).
+// (OverlapInput.Weights, or built once per Step from Alpha and Beta). A
+// sweep that produces a non-finite residence — overflowing or NaN weights —
+// fails the step instead of reporting it converged.
 func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 	tol, maxIter, err := s.prepare(&in)
 	if err != nil {
 		return OverlapResult{}, err
 	}
-	it := s.sweepFused(&in, tol, maxIter)
+	w := in.Weights
+	if w == nil {
+		s.buildFusedWeights(&in)
+		w = s.w
+	}
+	it, err := s.sweep(&in, w, tol, maxIter, slowdowns)
+	if err != nil {
+		return OverlapResult{}, err
+	}
 	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
 }
 
-// prepare validates a Step input, sizes the scratch and loads the starting
-// residence matrix. It returns the resolved tolerance and sweep budget.
+// prepare validates a Step input, sizes the scratch, lays out the weight
+// rows and loads the starting residence matrix. It returns the resolved
+// tolerance and sweep budget.
 func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err error) {
-	n := len(in.Tasks)
-	if n == 0 {
-		return 0, 0, errors.New("mva: no tasks")
+	if err := validateTasks(in.Tasks); err != nil {
+		return 0, 0, err
 	}
-	if len(in.Tasks[0].Demands) == 0 {
-		return 0, 0, errors.New("mva: tasks need at least one center demand")
-	}
-	k := len(in.Tasks[0].Demands)
-	for i, t := range in.Tasks {
-		if len(t.Demands) != k {
-			return 0, 0, fmt.Errorf("mva: task %d has %d demands, want %d", i, len(t.Demands), k)
-		}
-		for _, d := range t.Demands {
-			if d < 0 {
-				return 0, 0, fmt.Errorf("mva: task %d has negative demand", i)
-			}
-		}
-	}
+	n, k := len(in.Tasks), len(in.Tasks[0].Demands)
+	size := s.layout(in.Tasks)
 	if in.Weights != nil {
-		if len(in.Weights) != k*n*n {
-			return 0, 0, fmt.Errorf("mva: Weights has %d entries, want %d (centers × tasks × tasks)", len(in.Weights), k*n*n)
+		if len(in.Weights) != size {
+			return 0, 0, fmt.Errorf("mva: Weights has %d entries, want %d (blocks of 4 demanded rows × tasks)", len(in.Weights), size)
 		}
 	} else {
 		if len(in.Alpha) != k || len(in.Beta) != k {
@@ -533,26 +666,26 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 	// supplies a valid (≥ demand, finite) value. Note the warm rows may
 	// alias s.res itself (the previous Step's result): the element-wise
 	// max below is alias-safe because entry (i,c) only reads entry (i,c).
+	// Entries with zero demand stay zero in both residence buffers and in
+	// ρ: the sweep writes only demanded entries.
+	clear(s.rhoC)
 	for i := 0; i < n; i++ {
 		var row []float64
 		if i < len(in.Warm) && len(in.Warm[i]) == k {
 			row = in.Warm[i]
 		}
-		tot, demTot := 0.0, 0.0
+		tot := 0.0
 		for c, d := range in.Tasks[i].Demands {
-			demTot += d
 			v := d
 			if row != nil && d > 0 && row[c] > d && !math.IsInf(row[c], 0) && !math.IsNaN(row[c]) {
 				v = row[c]
 			}
 			if d == 0 {
 				v = 0
+				s.next[i][c] = 0
 			}
 			s.res[i][c] = v
 			tot += v
-		}
-		if demTot <= 0 {
-			return 0, 0, fmt.Errorf("mva: task %d has zero total demand", i)
 		}
 		s.resp[i] = tot
 	}
@@ -567,146 +700,94 @@ func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err
 	return tol, maxIter, nil
 }
 
-// buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into s.wFlat in
-// the OverlapInput.Weights layout: center-major, one contiguous n-row per
-// (c, i). The diagonal keeps only the β self-term: α excludes a task's
-// overlap with itself, while the twin of task i in another job contends
-// fully. Rows whose task demand at the center is zero are skipped — the
-// sweep never reads them.
+// buildFusedWeights packs W[c] = Alpha[c] + (N-1)·Beta[c] into the
+// solver-owned buffer in the blocked OverlapInput.Weights layout. The
+// diagonal keeps only the β self-term: α excludes a task's overlap with
+// itself, while the twin of task i in another job contends fully. Rows
+// whose task demand at the center is zero are not stored.
 func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
 	n, k := s.n, s.k
-	if cap(s.wFlat) < k*n*n {
-		s.wFlat = make([]float64, k*n*n)
-	}
-	s.wFlat = s.wFlat[:k*n*n]
+	s.sizeWeights(n, len(s.rowTask)*n)
 	otherJobs := float64(in.OtherJobs)
 	for c := 0; c < k; c++ {
 		for i := 0; i < n; i++ {
-			if in.Tasks[i].Demands[c] == 0 {
+			base := s.rowBase[c*n+i]
+			if base < 0 {
 				continue
 			}
 			alphaRow := in.Alpha[c][i]
 			betaRow := in.Beta[c][i]
-			wRow := s.wFlat[(c*n+i)*n : (c*n+i+1)*n]
-			for j := range wRow {
-				wRow[j] = alphaRow[j] + otherJobs*betaRow[j]
+			for j := 0; j < n; j++ {
+				s.w[base+4*j] = alphaRow[j] + otherJobs*betaRow[j]
 			}
-			wRow[i] = otherJobs * betaRow[i]
+			s.w[base+4*i] = otherJobs * betaRow[i]
 		}
 	}
 }
 
-// sweepFused is the struct-of-arrays sweep: the fused weight matrices come
-// prebuilt (OverlapInput.Weights) or are built once outside the loop, ρ is
-// stored center-major so each center's arrival sums read two contiguous
-// arrays, and the inner loop is a pure branch-free dot product split over
-// two accumulators (even/odd j) to break the add-latency dependency chain.
-func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) int {
+// sweep iterates the residence fixed point over blocked weights w. Per
+// center it refreshes ρ (center-major) for the demanded rows, runs the
+// block kernel over them four at a time and scatters the new residences,
+// accumulating each task's row total as it goes: centers run in
+// increasing order, so every total adds its terms in the same order as a
+// row-wise sum, and skipping the zero terms of undemanded centers changes
+// no bit. A row's slowdown depends on nothing but its own weights and ρ,
+// so the kernel choice cannot change a result either.
+func (s *OverlapSolver) sweep(in *OverlapInput, w []float64, tol float64, maxIter int, kernel blockKernel) (int, error) {
 	n, k := s.n, s.k
-	w := in.Weights
-	if w == nil {
-		s.buildFusedWeights(in)
-		w = s.wFlat
-	}
 	// All rows start dirty: ρ has never been computed for this iterate.
 	for i := range s.rowDirty {
 		s.rowDirty[i] = true
 	}
 	var it int
 	for it = 0; it < maxIter; it++ {
-		maxDelta := 0.0
-		// ρ_jk = R_jk / R_j, center-major. Rows whose residence was
-		// bit-unchanged by the previous sweep divide to the same value, so
-		// only dirty rows are recomputed — bit-identical, just cheaper when
-		// a warm start lands most rows on their fixed point immediately.
-		for j := 0; j < n; j++ {
-			if !s.rowDirty[j] {
+		res, next, resp := s.resFlat, s.nextFlat, s.resp
+		dirty, changed, sum := s.rowDirty, s.rowChanged, s.rowSum
+		clear(sum)
+		clear(changed)
+		for c := 0; c < k; c++ {
+			lo, hi := 4*s.blkOff[c], 4*s.blkOff[c+1]
+			if lo == hi {
 				continue
 			}
-			row := s.res[j]
-			inv := s.resp[j]
-			for c := 0; c < k; c++ {
-				s.rhoC[c*n+j] = row[c] / inv
-			}
-		}
-		for c := 0; c < k; c++ {
+			rows := s.rowTask[lo : lo+s.rowsAt[c]]
+			// ρ_jc = R_jc / R_j. Rows whose residence was bit-unchanged by
+			// the previous sweep divide to the same value, so only dirty
+			// rows are recomputed; undemanded entries stay zero.
 			rc := s.rhoC[c*n : (c+1)*n]
-			base := c * n
-			// Task rows are independent within a center, so the dot
-			// products run two rows at a time — four accumulator chains
-			// hide FP-add latency. Each row keeps its own even/odd
-			// accumulation order, so results are bit-identical to the
-			// one-row-at-a-time walk.
-			i := 0
-			for ; i+1 < n; i += 2 {
-				d0 := in.Tasks[i].Demands[c]
-				d1 := in.Tasks[i+1].Demands[c]
-				if d0 == 0 || d1 == 0 {
-					if d0 == 0 {
-						s.next[i][c] = 0
-					} else {
-						s.next[i][c] = d0 * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
-					}
-					if d1 == 0 {
-						s.next[i+1][c] = 0
-					} else {
-						s.next[i+1][c] = d1 * rowSlowdown(w[(base+i+1)*n:(base+i+2)*n], rc, s.servers[c])
-					}
-					continue
+			for _, i := range rows {
+				if dirty[i] {
+					rc[i] = res[i*k+c] / resp[i]
 				}
-				w0 := w[(base+i)*n : (base+i+1)*n]
-				w1 := w[(base+i+1)*n : (base+i+2)*n]
-				var a0, a1, b0, b1 float64
-				var j int
-				for ; j+1 < n; j += 2 {
-					rj, rj1 := rc[j], rc[j+1]
-					a0 += w0[j] * rj
-					a1 += w0[j+1] * rj1
-					b0 += w1[j] * rj
-					b1 += w1[j+1] * rj1
-				}
-				if j < n {
-					rj := rc[j]
-					a0 += w0[j] * rj
-					b0 += w1[j] * rj
-				}
-				s0 := (1 + (a0 + a1)) / s.servers[c]
-				if s0 < 1 {
-					s0 = 1
-				}
-				s.next[i][c] = d0 * s0
-				s1 := (1 + (b0 + b1)) / s.servers[c]
-				if s1 < 1 {
-					s1 = 1
-				}
-				s.next[i+1][c] = d1 * s1
 			}
-			if i < n {
-				if d := in.Tasks[i].Demands[c]; d == 0 {
-					s.next[i][c] = 0
-				} else {
-					s.next[i][c] = d * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
+			out := s.slow[:hi-lo]
+			kernel(out, w[lo*n:hi*n], rc, s.servers[c])
+			dem := s.rowDem[lo:hi]
+			for r, i := range rows {
+				// Round the product: a fused multiply-add into the row
+				// total would disagree with the residence stored.
+				v := float64(dem[r] * out[r])
+				next[i*k+c] = v
+				sum[i] += v
+				if v != res[i*k+c] {
+					changed[i] = true
 				}
 			}
 		}
-		for i := 0; i < n; i++ {
-			var tot float64
-			changed := false
-			nextRow, resRow := s.next[i], s.res[i]
-			for c := 0; c < k; c++ {
-				tot += nextRow[c]
-				if nextRow[c] != resRow[c] {
-					changed = true
-				}
-			}
-			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
+		maxDelta := 0.0
+		for i, tot := range sum {
+			// NaN compares false both ways: a NaN delta becomes maxDelta.
+			if delta := math.Abs(tot - resp[i]); !(delta <= maxDelta) {
 				maxDelta = delta
 			}
-			s.resp[i] = tot
-			s.rowDirty[i] = changed
+			resp[i] = tot
+		}
+		if math.IsNaN(maxDelta) || math.IsInf(maxDelta, 0) {
+			return it, fmt.Errorf("mva: overlap fixed point diverged to a non-finite residence on sweep %d", it+1)
 		}
 		s.res, s.next = s.next, s.res
 		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
+		s.rowDirty, s.rowChanged = s.rowChanged, s.rowDirty
 		if maxDelta < tol {
 			break
 		}
@@ -726,28 +807,7 @@ func (s *OverlapSolver) sweepFused(in *OverlapInput, tol float64, maxIter int) i
 			}
 		}
 	}
-	return it
-}
-
-// rowSlowdown computes one task row's contention slowdown at a center with
-// the given server count — the single-row tail of the paired dot-product
-// walk in sweepFused, with the identical even/odd accumulation order.
-func rowSlowdown(wRow, rc []float64, servers float64) float64 {
-	n := len(wRow)
-	var a0, a1 float64
-	var j int
-	for ; j+1 < n; j += 2 {
-		a0 += wRow[j] * rc[j]
-		a1 += wRow[j+1] * rc[j+1]
-	}
-	if j < n {
-		a0 += wRow[j] * rc[j]
-	}
-	slowdown := (1 + (a0 + a1)) / servers
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	return slowdown
+	return it, nil
 }
 
 // OverlapStep solves one overlap-weighted residence-time step with a fresh

@@ -1,6 +1,7 @@
 package mva
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -703,10 +704,49 @@ func TestOverlapFusedMatchesScalarProperty(t *testing.T) {
 	}
 }
 
+// packBlocked lays out W = α + (N−1)β (diagonal (N−1)β) by the documented
+// OverlapInput.Weights rule, independently of the solver: per center the
+// demanded rows in task order, four to a block, j-major inside the block.
+// Padding lanes hold pad.
+func packBlocked(in OverlapInput, pad float64) []float64 {
+	n, k := len(in.Tasks), len(in.Tasks[0].Demands)
+	otherJobs := float64(in.OtherJobs)
+	var w []float64
+	for c := 0; c < k; c++ {
+		var rows [][]float64
+		for i := 0; i < n; i++ {
+			if in.Tasks[i].Demands[c] == 0 {
+				continue
+			}
+			row := make([]float64, n)
+			for j := range row {
+				row[j] = in.Alpha[c][i][j] + otherJobs*in.Beta[c][i][j]
+			}
+			row[i] = otherJobs * in.Beta[c][i][i]
+			rows = append(rows, row)
+		}
+		for b := 0; b < len(rows); b += 4 {
+			blk := make([]float64, 4*n)
+			for lane := 0; lane < 4; lane++ {
+				for j := 0; j < n; j++ {
+					blk[4*j+lane] = pad
+					if b+lane < len(rows) {
+						blk[4*j+lane] = rows[b+lane][j]
+					}
+				}
+			}
+			w = append(w, blk...)
+		}
+	}
+	return w
+}
+
 // Prebuilt fused weights are the same operand as the Alpha/Beta pair the
-// solver fuses itself: a Step fed W = α + (N−1)β (diagonal (N−1)β) must
-// follow the identical trajectory, bit for bit. Rows with zero demand are
-// filled with NaN to prove the sweep never reads them.
+// solver fuses itself: a Step fed W = α + (N−1)β (diagonal (N−1)β) in the
+// blocked layout must follow the identical trajectory, bit for bit. The
+// padding lanes are filled with NaN to prove no padding result leaks into
+// a residence, and the row offsets Weights returns must address the same
+// entries.
 func TestOverlapPrebuiltWeightsMatchAlphaBeta(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 30; trial++ {
@@ -714,23 +754,38 @@ func TestOverlapPrebuiltWeightsMatchAlphaBeta(t *testing.T) {
 		k := 1 + rng.Intn(5)
 		in := randomOverlap(rng, n, k, rng.Intn(5))
 		in.Accelerate = rng.Float64() < 0.5
+		w := packBlocked(in, math.NaN())
+
+		var ls OverlapSolver
+		lw, base, err := ls.Weights(in.Tasks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(lw) != len(w) {
+			t.Fatalf("trial %d: Weights sized %d, documented layout %d", trial, len(lw), len(w))
+		}
 		otherJobs := float64(in.OtherJobs)
-		w := make([]float64, k*n*n)
 		for c := 0; c < k; c++ {
 			for i := 0; i < n; i++ {
-				row := w[(c*n+i)*n : (c*n+i+1)*n]
-				for j := range row {
-					if in.Tasks[i].Demands[c] == 0 {
-						row[j] = math.NaN()
-						continue
-					}
-					row[j] = in.Alpha[c][i][j] + otherJobs*in.Beta[c][i][j]
+				b := base[c*n+i]
+				if (b < 0) != (in.Tasks[i].Demands[c] == 0) {
+					t.Fatalf("trial %d: row (%d,%d) offset %d with demand %v", trial, c, i, b, in.Tasks[i].Demands[c])
 				}
-				if in.Tasks[i].Demands[c] != 0 {
-					row[i] = otherJobs * in.Beta[c][i][i]
+				if b < 0 {
+					continue
+				}
+				for j := 0; j < n; j++ {
+					want := in.Alpha[c][i][j] + otherJobs*in.Beta[c][i][j]
+					if j == i {
+						want = otherJobs * in.Beta[c][i][i]
+					}
+					if math.Float64bits(w[b+4*j]) != math.Float64bits(want) {
+						t.Fatalf("trial %d: offset of W[%d][%d][%d] holds %v, want %v", trial, c, i, j, w[b+4*j], want)
+					}
 				}
 			}
 		}
+
 		var as OverlapSolver
 		want, err := as.Step(in)
 		if err != nil {
@@ -757,9 +812,351 @@ func TestOverlapPrebuiltWeightsMatchAlphaBeta(t *testing.T) {
 	}
 	var s OverlapSolver
 	bad := randomOverlap(rng, 3, 2, 1)
-	bad.Weights = make([]float64, 2*3*3-1)
+	bad.Weights = make([]float64, len(packBlocked(bad, 0))-1)
 	if _, err := s.Step(bad); err == nil {
 		t.Error("misshapen Weights accepted")
+	}
+}
+
+// oracleStep solves an Alpha/Beta input with the paired-row scalar sweep
+// the blocked kernels replaced, over the k·n·n center-major weights it
+// read: the bitwise oracle for every blockKernel.
+func oracleStep(in OverlapInput) (OverlapResult, error) {
+	var s OverlapSolver
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	it := s.sweepPairedRows(&in, centerMajorWeights(&in), tol, maxIter)
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// centerMajorWeights fuses Alpha/Beta into the center-major layout:
+// W^c_ij at (c·n+i)·n+j, every row stored.
+func centerMajorWeights(in *OverlapInput) []float64 {
+	n, k := len(in.Tasks), len(in.Tasks[0].Demands)
+	w := make([]float64, k*n*n)
+	otherJobs := float64(in.OtherJobs)
+	for c := 0; c < k; c++ {
+		for i := 0; i < n; i++ {
+			wRow := w[(c*n+i)*n : (c*n+i+1)*n]
+			for j := range wRow {
+				wRow[j] = in.Alpha[c][i][j] + otherJobs*in.Beta[c][i][j]
+			}
+			wRow[i] = otherJobs * in.Beta[c][i][i]
+		}
+	}
+	return w
+}
+
+// sweepPairedRows is the scalar struct-of-arrays sweep over center-major
+// weights: the dot products run two rows at a time over four accumulator
+// chains, each row keeping its even/odd accumulation order.
+func (s *OverlapSolver) sweepPairedRows(in *OverlapInput, w []float64, tol float64, maxIter int) int {
+	n, k := s.n, s.k
+	for i := range s.rowDirty {
+		s.rowDirty[i] = true
+	}
+	var it int
+	for it = 0; it < maxIter; it++ {
+		maxDelta := 0.0
+		for j := 0; j < n; j++ {
+			if !s.rowDirty[j] {
+				continue
+			}
+			row := s.res[j]
+			inv := s.resp[j]
+			for c := 0; c < k; c++ {
+				s.rhoC[c*n+j] = row[c] / inv
+			}
+		}
+		for c := 0; c < k; c++ {
+			rc := s.rhoC[c*n : (c+1)*n]
+			base := c * n
+			i := 0
+			for ; i+1 < n; i += 2 {
+				d0 := in.Tasks[i].Demands[c]
+				d1 := in.Tasks[i+1].Demands[c]
+				if d0 == 0 || d1 == 0 {
+					if d0 == 0 {
+						s.next[i][c] = 0
+					} else {
+						s.next[i][c] = d0 * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
+					}
+					if d1 == 0 {
+						s.next[i+1][c] = 0
+					} else {
+						s.next[i+1][c] = d1 * rowSlowdown(w[(base+i+1)*n:(base+i+2)*n], rc, s.servers[c])
+					}
+					continue
+				}
+				w0 := w[(base+i)*n : (base+i+1)*n]
+				w1 := w[(base+i+1)*n : (base+i+2)*n]
+				var a0, a1, b0, b1 float64
+				var j int
+				for ; j+1 < n; j += 2 {
+					rj, rj1 := rc[j], rc[j+1]
+					a0 += float64(w0[j] * rj)
+					a1 += float64(w0[j+1] * rj1)
+					b0 += float64(w1[j] * rj)
+					b1 += float64(w1[j+1] * rj1)
+				}
+				if j < n {
+					rj := rc[j]
+					a0 += float64(w0[j] * rj)
+					b0 += float64(w1[j] * rj)
+				}
+				s0 := (1 + (a0 + a1)) / s.servers[c]
+				if s0 < 1 {
+					s0 = 1
+				}
+				s.next[i][c] = d0 * s0
+				s1 := (1 + (b0 + b1)) / s.servers[c]
+				if s1 < 1 {
+					s1 = 1
+				}
+				s.next[i+1][c] = d1 * s1
+			}
+			if i < n {
+				if d := in.Tasks[i].Demands[c]; d == 0 {
+					s.next[i][c] = 0
+				} else {
+					s.next[i][c] = d * rowSlowdown(w[(base+i)*n:(base+i+1)*n], rc, s.servers[c])
+				}
+			}
+		}
+		for i := 0; i < n; i++ {
+			var tot float64
+			changed := false
+			nextRow, resRow := s.next[i], s.res[i]
+			for c := 0; c < k; c++ {
+				tot += nextRow[c]
+				if nextRow[c] != resRow[c] {
+					changed = true
+				}
+			}
+			if delta := math.Abs(tot - s.resp[i]); delta > maxDelta {
+				maxDelta = delta
+			}
+			s.resp[i] = tot
+			s.rowDirty[i] = changed
+		}
+		s.res, s.next = s.next, s.res
+		s.resFlat, s.nextFlat = s.nextFlat, s.resFlat
+		if maxDelta < tol {
+			break
+		}
+		if in.Accelerate {
+			if s.acc.Observe(s.resFlat, func(idx int) float64 { return in.Tasks[idx/k].Demands[idx%k] }) {
+				for i := 0; i < n; i++ {
+					tot := 0.0
+					for c := 0; c < k; c++ {
+						tot += s.res[i][c]
+					}
+					s.resp[i] = tot
+					s.rowDirty[i] = true
+				}
+			}
+		}
+	}
+	return it
+}
+
+// rowSlowdown is one row of sweepPairedRows' walk, with the identical
+// even/odd accumulation order.
+func rowSlowdown(wRow, rc []float64, servers float64) float64 {
+	n := len(wRow)
+	var a0, a1 float64
+	var j int
+	for ; j+1 < n; j += 2 {
+		a0 += float64(wRow[j] * rc[j])
+		a1 += float64(wRow[j+1] * rc[j+1])
+	}
+	if j < n {
+		a0 += float64(wRow[j] * rc[j])
+	}
+	slowdown := (1 + (a0 + a1)) / servers
+	if slowdown < 1 {
+		slowdown = 1
+	}
+	return slowdown
+}
+
+// kernelCase builds a randomized A5 operand of the model's shape: K node
+// classes give 2K+1 centers, each task demands its class's CPU and disk
+// centers and, with some probability, the shared network (zero elsewhere,
+// so demanded-row counts per center are rarely a multiple of 4). Weights
+// are dense random α/β.
+func kernelCase(rng *rand.Rand, n, classes int) OverlapInput {
+	k := 2*classes + 1
+	in := randomOverlap(rng, n, k, rng.Intn(4))
+	netShare := rng.Float64()
+	for i := range in.Tasks {
+		d := in.Tasks[i].Demands
+		cls := rng.Intn(classes)
+		for c := range d {
+			if c != 2*cls && c != 2*cls+1 && c != k-1 {
+				d[c] = 0
+			}
+		}
+		if rng.Float64() > netShare {
+			d[k-1] = 0
+		}
+		if rng.Intn(8) == 0 {
+			d[2*cls+rng.Intn(2)] = 0 // a zero CPU or disk demand
+		}
+		if d[2*cls]+d[2*cls+1]+d[k-1] == 0 {
+			d[2*cls] = 1
+		}
+	}
+	return in
+}
+
+// namedKernel is one blockKernel implementation under test (testKernels
+// lists the ones this machine can run).
+type namedKernel struct {
+	name string
+	fn   blockKernel
+}
+
+// sweepWith runs one Step of in through the given block kernel.
+func sweepWith(in OverlapInput, kernel blockKernel) (OverlapResult, error) {
+	var s OverlapSolver
+	tol, maxIter, err := s.prepare(&in)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	s.buildFusedWeights(&in)
+	it, err := s.sweep(&in, s.w, tol, maxIter, kernel)
+	if err != nil {
+		return OverlapResult{}, err
+	}
+	return OverlapResult{Residence: s.res, Response: s.resp, Iterations: it + 1}, nil
+}
+
+// Every block kernel must reproduce the paired-row scalar sweep bit for
+// bit — residences, responses and sweep counts — over n from 1 to 70, 1–3
+// node classes, zero-demand rows, warm starts and acceleration on and off.
+func TestOverlapKernelsMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for trial := 0; trial < 140; trial++ {
+		n := 1 + trial%70
+		in := kernelCase(rng, n, 1+rng.Intn(3))
+		in.Accelerate = rng.Intn(2) == 0
+		if rng.Intn(3) == 0 {
+			in.Warm = make([][]float64, n)
+			for i, tk := range in.Tasks {
+				in.Warm[i] = make([]float64, len(tk.Demands))
+				for c, d := range tk.Demands {
+					in.Warm[i][c] = d * (1 + 2*rng.Float64())
+				}
+			}
+		}
+		want, err := oracleStep(in)
+		if err != nil {
+			t.Fatalf("trial %d: oracle: %v", trial, err)
+		}
+		want = copyResult(want)
+		for _, kern := range testKernels(t) {
+			got, err := sweepWith(in, kern.fn)
+			if err != nil {
+				t.Fatalf("trial %d %s: %v", trial, kern.name, err)
+			}
+			if got.Iterations != want.Iterations {
+				t.Errorf("trial %d (n=%d) %s: %d sweeps, oracle %d", trial, n, kern.name, got.Iterations, want.Iterations)
+			}
+			for i := range want.Residence {
+				if math.Float64bits(got.Response[i]) != math.Float64bits(want.Response[i]) {
+					t.Errorf("trial %d (n=%d) %s: response[%d] %x, oracle %x", trial, n, kern.name, i, got.Response[i], want.Response[i])
+				}
+				for c := range want.Residence[i] {
+					if math.Float64bits(got.Residence[i][c]) != math.Float64bits(want.Residence[i][c]) {
+						t.Errorf("trial %d (n=%d) %s: res[%d][%d] %x, oracle %x", trial, n, kern.name, i, c, got.Residence[i][c], want.Residence[i][c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits compares two kernel outputs: equal bits, or both NaN (NaN
+// payloads are not part of the contract).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+}
+
+// FuzzOverlapKernels feeds arbitrary weight and ρ bits — NaN, infinities,
+// subnormals, negative values — through every block kernel and checks each
+// row against the oracle's row walk.
+func FuzzOverlapKernels(f *testing.F) {
+	f.Add(uint8(5), uint8(3), 2.0, []byte{1, 2, 3, 4, 5, 6, 7, 8, 0x3f, 0xf0, 0, 0, 0, 0, 0, 0})
+	f.Add(uint8(1), uint8(1), 1.0, []byte{0xff, 0xf8, 0, 0, 0, 0, 0, 1})
+	f.Add(uint8(70), uint8(9), 4.0, []byte{0x7f, 0xf0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, nQ, rowsQ uint8, servers float64, data []byte) {
+		n := 1 + int(nQ)%70
+		rows := 1 + int(rowsQ)%12
+		slots := (rows + 3) &^ 3
+		val := func(i int) float64 {
+			if len(data) < 8 {
+				return float64(i%7) * 0.25
+			}
+			off := (8 * i) % (len(data) - len(data)%8)
+			return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
+		}
+		rho := make([]float64, n)
+		for j := range rho {
+			rho[j] = val(j)
+		}
+		w := make([]float64, slots*n)
+		rowW := make([][]float64, slots)
+		for r := range rowW {
+			rowW[r] = make([]float64, n)
+			for j := range rowW[r] {
+				v := val(n + r*n + j)
+				rowW[r][j] = v
+				w[(r&^3)*n+r&3+4*j] = v
+			}
+		}
+		for _, kern := range testKernels(t) {
+			out := make([]float64, slots)
+			kern.fn(out, w, rho, servers)
+			for r := 0; r < rows; r++ {
+				if want := rowSlowdown(rowW[r], rho, servers); !sameBits(out[r], want) {
+					t.Fatalf("%s: row %d of %d (n=%d): %x, oracle %x", kern.name, r, rows, n, out[r], want)
+				}
+			}
+		}
+	})
+}
+
+// A NaN or infinite demand is rejected up front, and weights that drive a
+// residence to NaN or infinity fail the step instead of converging on it.
+func TestOverlapStepRejectsNonFinite(t *testing.T) {
+	cases := []struct {
+		name string
+		mod  func(in *OverlapInput)
+	}{
+		{"nan demand", func(in *OverlapInput) { in.Tasks[1].Demands[0] = math.NaN() }},
+		{"inf demand", func(in *OverlapInput) { in.Tasks[0].Demands[1] = math.Inf(1) }},
+		{"nan alpha", func(in *OverlapInput) { in.Alpha[0][0][1] = math.NaN() }},
+		{"inf beta", func(in *OverlapInput) { in.Beta[1][2][2] = math.Inf(1) }},
+		{"overflowing weight", func(in *OverlapInput) { in.Alpha[0][1][0] = math.MaxFloat64 }},
+		{"nan prebuilt weight", func(in *OverlapInput) {
+			in.Weights = packBlocked(*in, 0)
+			in.Weights[5] = math.NaN()
+		}},
+	}
+	for _, tc := range cases {
+		for _, acc := range []bool{false, true} {
+			in := contendedInput(4)
+			in.Accelerate = acc
+			tc.mod(&in)
+			var s OverlapSolver
+			res, err := s.Step(in)
+			if err == nil {
+				t.Errorf("%s (accelerate %v): converged to %v in %d sweeps, want an error", tc.name, acc, res.Response, res.Iterations)
+			}
+		}
 	}
 }
 

@@ -779,6 +779,9 @@ func (j jobWire) job() (workload.Job, error) {
 		reduces = 1
 	}
 	job, err := workload.NewJob(0, j.InputMB, block, reduces, prof)
+	if errors.Is(err, workload.ErrSplitCount) {
+		return workload.Job{}, validationError{fmt.Errorf("job.inputMB %g over job.blockSizeMB %g: %w", j.InputMB, block, err)}
+	}
 	if err != nil {
 		return workload.Job{}, validationError{err}
 	}

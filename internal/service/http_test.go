@@ -215,23 +215,34 @@ func TestPlanEndpoint(t *testing.T) {
 
 func TestValidationErrors(t *testing.T) {
 	_, ts := newTestServer(t)
-	cases := []struct{ name, url, body string }{
-		{"garbage", "/v1/predict", `{`},
-		{"unknown field", "/v1/predict", `{"clutser":{"nodes":4}}`},
-		{"no cluster", "/v1/predict", `{"job":{"inputMB":512}}`},
-		{"bad profile", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":512,"profile":"sortbench"}}`},
-		{"bad estimator", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":512},"estimator":"oracle"}`},
-		{"bad policy", "/v1/simulate", `{"cluster":{"nodes":2},"job":{"inputMB":512},"policy":"lifo"}`},
-		{"zero input", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":0}}`},
-		{"negative deadline", "/v1/plan", `{"cluster":{"nodes":2},"job":{"inputMB":512},"deadlineSec":-5}`},
+	// names, when set, is the wire field the error message must name.
+	cases := []struct{ name, url, body, names string }{
+		{"garbage", "/v1/predict", `{`, ""},
+		{"unknown field", "/v1/predict", `{"clutser":{"nodes":4}}`, ""},
+		{"no cluster", "/v1/predict", `{"job":{"inputMB":512}}`, ""},
+		{"bad profile", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":512,"profile":"sortbench"}}`, ""},
+		{"bad estimator", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":512},"estimator":"oracle"}`, ""},
+		{"bad policy", "/v1/simulate", `{"cluster":{"nodes":2},"job":{"inputMB":512},"policy":"lifo"}`, ""},
+		{"zero input", "/v1/predict", `{"cluster":{"nodes":2},"job":{"inputMB":0}}`, ""},
+		{"negative deadline", "/v1/plan", `{"cluster":{"nodes":2},"job":{"inputMB":512},"deadlineSec":-5}`, ""},
+		// The split count overflows int: once a 500 from the timeline.
+		{"uncountable splits", "/v1/predict", `{"cluster":{"nodes":4},"job":{"inputMB":1e300}}`, "job.inputMB"},
+		{"uncountable splits (simulate)", "/v1/simulate", `{"cluster":{"nodes":4},"job":{"inputMB":1e300}}`, "job.inputMB"},
 	}
 	for _, tc := range cases {
 		status, body := postJSON(t, ts.URL+tc.url, tc.body)
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d body = %v", tc.name, status, body)
 		}
-		if msg, _ := body["error"].(string); msg == "" {
+		msg, _ := body["error"].(string)
+		if msg == "" {
 			t.Errorf("%s: no error message", tc.name)
+		}
+		if !strings.Contains(msg, tc.names) {
+			t.Errorf("%s: error %q does not name %q", tc.name, msg, tc.names)
+		}
+		if id, _ := body["requestId"].(string); id == "" {
+			t.Errorf("%s: no requestId in the envelope", tc.name)
 		}
 	}
 }

@@ -13,6 +13,7 @@ package workload
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"hadoop2perf/internal/hdfs"
 )
@@ -169,6 +170,10 @@ func NewJob(id int, inputMB, blockSizeMB float64, reduces int, p Profile) (Job, 
 	return j, nil
 }
 
+// ErrSplitCount reports a job whose input splits into more blocks than an
+// int can count (or into a NaN number of them).
+var ErrSplitCount = errors.New("workload: InputMB / BlockSizeMB split count is not representable")
+
 // Validate reports configuration errors in the job.
 func (j Job) Validate() error {
 	switch {
@@ -178,6 +183,11 @@ func (j Job) Validate() error {
 		return errors.New("workload: BlockSizeMB must be positive")
 	case j.NumReduces <= 0:
 		return errors.New("workload: NumReduces must be positive")
+	}
+	// The split count is converted to int (hdfs.SplitsFor); compare in
+	// float64 first, as an out-of-range conversion is implementation-defined.
+	if splits := j.InputMB / j.BlockSizeMB; !(splits < float64(math.MaxInt)) {
+		return fmt.Errorf("%w (InputMB %g, BlockSizeMB %g)", ErrSplitCount, j.InputMB, j.BlockSizeMB)
 	}
 	return j.Profile.Validate()
 }

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -49,6 +50,10 @@ func TestNewJobValidation(t *testing.T) {
 		{"zero input", 0, 128, 4},
 		{"zero block", 1024, 0, 4},
 		{"zero reduces", 1024, 128, 0},
+		{"uncountable splits", 1e300, 128, 4},
+		{"uncountable splits, tiny blocks", 1024, 1e-300, 4},
+		{"nan input", math.NaN(), 128, 4},
+		{"infinite input", math.Inf(1), 128, 4},
 	}
 	for _, tt := range bad {
 		t.Run(tt.name, func(t *testing.T) {
