@@ -288,11 +288,10 @@ type Predictor struct {
 	// are resolved to dense indices once per round (laneWindows); the factor
 	// loops index laneOf/laneWins. respOf[class·n+ID] is a placed task's
 	// MVA response, the A6 leaf lookup.
-	laneBase  []int
-	laneOf    []int
-	laneWins  []laneWindow
-	laneShare []float64
-	respOf    []float64
+	laneBase []int
+	laneOf   []int
+	laneWins []laneWindow
+	respOf   []float64
 
 	// Warm-start state (warm.go): a small pool of converged solutions
 	// PredictWarm seeds from, scratch for viewing a pooled flat residence
@@ -910,15 +909,11 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 		return nil, err
 	}
 	nj := float64(otherJobs)
-	laneOf, wins := p.laneWindows(tl)
-	// share[j] is task j's part of its lane's busy time.
-	p.laneShare = resizeFloats(p.laneShare, n)
-	share := p.laneShare
-	for j, tj := range tl.Tasks {
-		if wl := &wins[laneOf[j]]; wl.total > 0 {
-			share[j] = tj.Duration() / wl.total
-		}
+	laneOf, wins, err := p.laneWindows(tl)
+	if err != nil {
+		return nil, err
 	}
+	const stride = mva.WeightStride
 	netC := hw.netCenter()
 	for i := 0; i < n; i++ {
 		ti := tl.Tasks[i]
@@ -928,8 +923,15 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 		// The twin of task j draws its node from j's container pool; node(i)
 		// hosts a pool share of slots(class(i))/totalSlots.
 		invWMap, invWRed := hw.invWMap[ci], hw.invWRed[ci]
-		// Row offsets in the blocked layout: W[c][i][j] sits at base + 4j;
-		// a negative base marks a row without demand, which is not stored.
+		// A pair that never overlaps has ov = +0 (ov is the literal 0 unless
+		// it is a positive quotient), so its β term nj·(ov/invW) is
+		// nj·(0/invW), one value per pool for the whole row. Computing it
+		// here saves a division per such pair and changes no bit, whatever
+		// invW is.
+		zeroMap, zeroRed := nj*(0/invWMap), nj*(0/invWRed)
+		// Row offsets in the blocked layout: W[c][i][j] sits at
+		// base + stride·j; a negative base marks a row without demand,
+		// which is not stored.
 		bNet := rowBase[netC*n+i]
 		bCPU := rowBase[hw.cpuCenter(ci)*n+i]
 		bDisk := rowBase[hw.diskCenter(ci)*n+i]
@@ -938,9 +940,9 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 				continue // the diagonal is written below
 			}
 			tj := &tl.Tasks[j]
-			invW := invWMap
+			invW, beta := invWMap, zeroMap
 			if tj.Class != timeline.ClassMap {
-				invW = invWRed
+				invW, beta = invWRed, zeroRed
 			}
 			ov := 0.0
 			if di > 0 {
@@ -958,7 +960,7 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 			// Network: global center, pairwise transfer overlap — the same
 			// α and β time-overlap (see the doc comment above).
 			if bNet >= 0 {
-				w[bNet+4*j] = ov + nj*ov
+				w[bNet+stride*j] = ov + nj*ov
 			}
 			// CPU and Disk: per-node centers (task i contends at its own
 			// class's center pair). Contention is assessed against the *lane*
@@ -974,23 +976,21 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 				alpha = ov
 				if lj != li {
 					if wl := &wins[lj]; wl.total > 0 && di > 0 {
-						alpha = timeline.Overlap(ti, wl.placed) / di * share[j]
+						alpha = timeline.Overlap(ti, wl.placed) / di * (tj.Duration() / wl.total)
 					}
 				} else {
 					alpha = 0
 				}
 			}
-			node := alpha
 			if ov != 0 {
-				// With ov = 0 the β term adds +0, which leaves alpha (never
-				// −0) unchanged.
-				node = alpha + nj*(ov/invW)
+				beta = nj * (ov / invW)
 			}
+			node := alpha + beta
 			if bCPU >= 0 {
-				w[bCPU+4*j] = node
+				w[bCPU+stride*j] = node
 			}
 			if bDisk >= 0 {
-				w[bDisk+4*j] = node
+				w[bDisk+stride*j] = node
 			}
 		}
 		// The twin of task i in another job overlaps fully (β = 1 at the
@@ -1000,13 +1000,13 @@ func (p *Predictor) overlapFactors(tl *timeline.Timeline, otherJobs int, tasks [
 			invW = invWRed
 		}
 		if bNet >= 0 {
-			w[bNet+4*i] = nj * 1
+			w[bNet+stride*i] = nj * 1
 		}
 		if bCPU >= 0 {
-			w[bCPU+4*i] = nj * (1 / invW)
+			w[bCPU+stride*i] = nj * (1 / invW)
 		}
 		if bDisk >= 0 {
-			w[bDisk+4*i] = nj * (1 / invW)
+			w[bDisk+stride*i] = nj * (1 / invW)
 		}
 	}
 	return w, nil
@@ -1023,8 +1023,10 @@ type laneWindow struct {
 // slot: every map lane of the round's timeline (node by node, each node's
 // slots in order), then every reduce lane; reduce subtasks (shuffle-sort
 // and merge) share their reducer's lane. The O(n²) factor loop indexes
-// laneOf/laneWins instead of looking lanes up per pair.
-func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []laneWindow) {
+// laneOf/laneWins instead of looking lanes up per pair. A task whose slot
+// lies outside its node's pool is an error: it would alias a neighbouring
+// node's lane.
+func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []laneWindow, err error) {
 	nodes := len(p.mapSlotsBy)
 	p.laneBase = resizeInts(p.laneBase, 2*nodes)
 	lanes := 0
@@ -1053,10 +1055,14 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 	}
 	p.laneOf = resizeInts(p.laneOf, len(tl.Tasks))
 	for i, t := range tl.Tasks {
-		id := p.laneBase[t.Node] + t.Slot
+		pool, slots := t.Node, p.mapSlotsBy
 		if t.Class != timeline.ClassMap {
-			id = p.laneBase[nodes+t.Node] + t.Slot
+			pool, slots = nodes+t.Node, p.redSlotsBy
 		}
+		if t.Node < 0 || t.Node >= nodes || t.Slot < 0 || t.Slot >= slots[t.Node] {
+			return nil, nil, fmt.Errorf("core: %s task %d on node %d slot %d is outside the node's container pool", t.Class, t.ID, t.Node, t.Slot)
+		}
+		id := p.laneBase[pool] + t.Slot
 		w := &p.laneWins[id]
 		if t.Start < w.placed.Start {
 			w.placed.Start = t.Start
@@ -1067,7 +1073,7 @@ func (p *Predictor) laneWindows(tl *timeline.Timeline) (laneOf []int, wins []lan
 		w.total += t.Duration()
 		p.laneOf[i] = id
 	}
-	return p.laneOf, p.laneWins
+	return p.laneOf, p.laneWins, nil
 }
 
 // taskDemandOn prices one placed task against its node's hardware class:

@@ -6,8 +6,41 @@ import (
 	"testing"
 
 	"hadoop2perf/internal/cluster"
+	"hadoop2perf/internal/mva"
 	"hadoop2perf/internal/timeline"
+	"hadoop2perf/internal/workload"
 )
+
+// refLaneKey identifies one container lane for the reference: reduce
+// subtasks (shuffle-sort and merge) share their reducer's lane; maps have
+// their own lane pool.
+type refLaneKey struct {
+	mapPool    bool
+	node, slot int
+}
+
+// refLanes groups tasks into lanes by hashing (pool, node, slot), with no
+// knowledge of the slot counts: laneOf[i] is task i's lane and wins holds
+// each lane's busy envelope and total task duration.
+func refLanes(tl *timeline.Timeline) (laneOf []int, wins []laneWindow) {
+	ids := map[refLaneKey]int{}
+	laneOf = make([]int, len(tl.Tasks))
+	for i, t := range tl.Tasks {
+		k := refLaneKey{t.Class == timeline.ClassMap, t.Node, t.Slot}
+		id, ok := ids[k]
+		if !ok {
+			id = len(wins)
+			ids[k] = id
+			wins = append(wins, laneWindow{placed: t})
+		}
+		w := &wins[id]
+		w.placed.Start = math.Min(w.placed.Start, t.Start)
+		w.placed.End = math.Max(w.placed.End, t.End)
+		w.total += t.Duration()
+		laneOf[i] = id
+	}
+	return laneOf, wins
+}
 
 // refOverlapFactors is the reference A4: the intra-job (α) and inter-job
 // (β) overlap factors as separate jagged per-center matrices, the operand
@@ -27,7 +60,7 @@ func refOverlapFactors(p *Predictor, tl *timeline.Timeline) (alpha, beta [][][]f
 		return m
 	}
 	alpha, beta = mat(), mat()
-	laneOf, wins := p.laneWindows(tl)
+	laneOf, wins := refLanes(tl)
 	netC := hw.netCenter()
 	for i := 0; i < n; i++ {
 		ti := tl.Tasks[i]
@@ -131,21 +164,26 @@ func TestOverlapFactorsMatchAlphaBetaOracle(t *testing.T) {
 			}
 			alpha, beta := refOverlapFactors(p, tl)
 			n := len(tl.Tasks)
-			// The blocked layout, as OverlapInput.Weights documents it: per
-			// center the demanded rows in task order, four to a block of 4n
-			// entries, j-major inside the block.
-			checked, blocks := 0, 0
+			// Row offsets of the blocked layout from a solver of its own,
+			// so the check does not read the predictor's solver state.
+			var ref mva.OverlapSolver
+			layout, rowBase, err := ref.Weights(in.Tasks)
+			if err != nil {
+				t.Fatalf("trial %d round %d: %v", trial, round, err)
+			}
+			if len(in.Weights) != len(layout) {
+				t.Fatalf("trial %d round %d: %d weights, layout has %d", trial, round, len(in.Weights), len(layout))
+			}
+			checked := 0
 			for c := 0; c < p.hw.nc; c++ {
-				r := 0
 				for i := 0; i < n; i++ {
-					if in.Tasks[i].Demands[c] == 0 {
+					base := rowBase[c*n+i]
+					if base < 0 {
 						continue
 					}
 					checked++
-					base := (blocks+r/4)*4*n + r%4
-					r++
 					for j := 0; j < n; j++ {
-						got := in.Weights[base+4*j]
+						got := in.Weights[base+mva.WeightStride*j]
 						want := alpha[c][i][j] + nj*beta[c][i][j]
 						if j == i {
 							want = nj * beta[c][i][i]
@@ -156,10 +194,6 @@ func TestOverlapFactorsMatchAlphaBetaOracle(t *testing.T) {
 						}
 					}
 				}
-				blocks += (r + 3) / 4
-			}
-			if len(in.Weights) != blocks*4*n {
-				t.Fatalf("trial %d: %d weights, want %d (%d blocks)", trial, len(in.Weights), blocks*4*n, blocks)
 			}
 			if checked == 0 {
 				t.Fatalf("trial %d: no rows with demand", trial)
@@ -167,6 +201,44 @@ func TestOverlapFactorsMatchAlphaBetaOracle(t *testing.T) {
 			for _, cd := range classes {
 				cd.response *= 0.5 + rng.Float64()
 			}
+		}
+	}
+}
+
+// A task whose slot lies outside its node's container pool would share a
+// lane with the next node's first slots; laneWindows must refuse it rather
+// than fold it into the wrong lane.
+func TestLaneWindowsRejectsSlotOutsidePool(t *testing.T) {
+	job, err := workload.NewJob(0, 2048, 128, 4, workload.WordCount())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPredictor()
+	cfg, classes, err := p.beginPredict(Config{Spec: cluster.Default(3), Job: job, NumJobs: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tl, _, _, err := p.roundArtifacts(cfg, classes, nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := p.laneWindows(tl); err != nil {
+		t.Fatalf("valid timeline rejected: %v", err)
+	}
+	for _, class := range []timeline.Class{timeline.ClassMap, timeline.ClassMerge} {
+		bad := *tl
+		bad.Tasks = append([]timeline.Placed(nil), tl.Tasks...)
+		i := 0
+		for bad.Tasks[i].Class != class {
+			i++
+		}
+		slots := p.mapSlotsBy
+		if class != timeline.ClassMap {
+			slots = p.redSlotsBy
+		}
+		bad.Tasks[i].Slot = slots[bad.Tasks[i].Node]
+		if _, _, err := p.laneWindows(&bad); err == nil {
+			t.Fatalf("%s task with slot %d of %d accepted", class, bad.Tasks[i].Slot, slots[bad.Tasks[i].Node])
 		}
 	}
 }

@@ -338,6 +338,11 @@ type TaskDemand struct {
 	Demands []float64
 }
 
+// WeightStride is the distance between W^c_ij and W^c_i,j+1 in the
+// blocked OverlapInput.Weights layout: the number of rows a block
+// interleaves.
+const WeightStride = 4
+
 // OverlapInput drives one overlap-weighted residence-time step. The
 // overlap enters either as the fused weights (Weights) or as the α/β pair
 // the solver fuses itself (Alpha, Beta).
@@ -347,13 +352,15 @@ type OverlapInput struct {
 	// W^c_ij = α^c_ij + (N−1)β^c_ij (diagonal (N−1)β^c_ii only) in the
 	// blocked row layout the sweep kernel reads. Only rows (c, i) whose task
 	// i has nonzero demand at center c are stored: per center in task order,
-	// packed four rows to a block of 4n entries, j-major inside the block, so
-	// the r-th stored row of center c puts W^c_ij at
+	// packed four (WeightStride) rows to a block of 4n entries, j-major
+	// inside the block, so the r-th stored row of center c puts W^c_ij at
 	// (B_c + ⌊r/4⌋)·4n + r mod 4 + 4j, where B_c counts the blocks of the
 	// centers before c. Each center's final partial block is padded to four
 	// lanes; the padding lanes' contents never reach a result.
 	// OverlapSolver.Weights returns a buffer in this layout with each row's
-	// offset. Alpha and Beta are ignored when Weights is set.
+	// offset; a Step handed that buffer back reuses the layout and only
+	// checks that Tasks still match it. Alpha and Beta are ignored when
+	// Weights is set.
 	Weights []float64
 	// Alpha[k][i][j] is the intra-job overlap factor between tasks i and j as
 	// seen by center k (per-node centers zero out pairs on different nodes).
@@ -429,6 +436,9 @@ type OverlapSolver struct {
 	rowTask []int     // per row slot: its task, or -1 for a padding lane
 	rowDem  []float64 // per row slot: that task's demand at the slot's center
 	slow    []float64 // one center's kernel output, a slowdown per row slot
+	// fromWeights reports that w and the layout are those the last
+	// Weights call handed out, so a Step given w may reuse the layout.
+	fromWeights bool
 }
 
 // ensure sizes the residence scratch for n tasks over k centers, reusing
@@ -531,7 +541,7 @@ func (s *OverlapSolver) layout(tasks []TaskDemand) int {
 	maxSlots := 0
 	for c := 0; c < k; c++ {
 		first := len(s.rowTask)
-		s.blkOff[c] = first / 4
+		s.blkOff[c] = first / WeightStride
 		for i := range tasks {
 			d := tasks[i].Demands[c]
 			if d == 0 {
@@ -539,35 +549,79 @@ func (s *OverlapSolver) layout(tasks []TaskDemand) int {
 				continue
 			}
 			r := len(s.rowTask)
-			s.rowBase[c*n+i] = (r&^3)*n + r&3
+			s.rowBase[c*n+i] = r/WeightStride*WeightStride*n + r%WeightStride
 			s.rowTask = append(s.rowTask, i)
 			s.rowDem = append(s.rowDem, d)
 		}
 		s.rowsAt[c] = len(s.rowTask) - first
-		for len(s.rowTask)%4 != 0 {
+		for len(s.rowTask)%WeightStride != 0 {
 			s.rowTask = append(s.rowTask, -1)
 			s.rowDem = append(s.rowDem, 0)
 		}
 		maxSlots = max(maxSlots, len(s.rowTask)-first)
 	}
-	s.blkOff[k] = len(s.rowTask) / 4
+	s.blkOff[k] = len(s.rowTask) / WeightStride
 	s.slow = growFloats(s.slow, n+3)[:maxSlots]
 	return len(s.rowTask) * n
 }
 
 // Weights lays out the solver's own weight buffer for tasks in the blocked
 // OverlapInput.Weights layout and returns it with the row offsets:
-// W^c_ij belongs at w[rowBase[c·n+i] + 4j], and rowBase[c·n+i] is -1 where
-// task i has no demand at center c (the sweep never reads that row, so it
-// is not stored). The caller writes every stored row and passes w back as
-// OverlapInput.Weights with the same Tasks; the padding lanes come zeroed.
-// Both slices are solver scratch, valid until the next Weights or Step call.
+// W^c_ij belongs at w[rowBase[c·n+i] + WeightStride·j], and rowBase[c·n+i]
+// is -1 where task i has no demand at center c (the sweep never reads that
+// row, so it is not stored). The caller writes every stored row and passes
+// w back as OverlapInput.Weights with the same Tasks; the padding lanes
+// come zeroed. Step then reuses this layout, and fails if the Tasks it is
+// given differ from these. Both slices are solver scratch, valid until the
+// next Weights call or the next Step that is not given w.
 func (s *OverlapSolver) Weights(tasks []TaskDemand) (w []float64, rowBase []int, err error) {
 	if err := validateTasks(tasks); err != nil {
 		return nil, nil, err
 	}
 	s.sizeWeights(len(tasks), s.layout(tasks))
+	s.fromWeights = true
 	return s.w, s.rowBase, nil
+}
+
+// ownsWeights reports whether w is the solver's own weight buffer.
+func (s *OverlapSolver) ownsWeights(w []float64) bool {
+	return len(w) > 0 && len(s.w) > 0 && &w[0] == &s.w[0]
+}
+
+var errLayoutMismatch = errors.New("mva: Tasks differ from the task set the Weights buffer was laid out for")
+
+// matchLayout checks that tasks are the task set the current layout was
+// built from: the same shape, a stored row exactly where a demand is
+// nonzero, and each stored row's demand unchanged. The layout's tasks were
+// validated, so a match needs no further validation (a NaN matches
+// nothing).
+func (s *OverlapSolver) matchLayout(tasks []TaskDemand) error {
+	k := len(s.blkOff) - 1
+	n := len(s.rowBase) / k
+	if len(tasks) != n {
+		return errLayoutMismatch
+	}
+	for _, t := range tasks {
+		if len(t.Demands) != k {
+			return errLayoutMismatch
+		}
+	}
+	for c := 0; c < k; c++ {
+		r := WeightStride * s.blkOff[c]
+		for i := range tasks {
+			d := tasks[i].Demands[c]
+			if (d == 0) != (s.rowBase[c*n+i] < 0) {
+				return errLayoutMismatch
+			}
+			if d != 0 {
+				if s.rowDem[r] != d {
+					return errLayoutMismatch
+				}
+				r++
+			}
+		}
+	}
+	return nil
 }
 
 // sizeWeights sizes the solver-owned weight buffer to the current layout
@@ -621,19 +675,29 @@ func (s *OverlapSolver) Step(in OverlapInput) (OverlapResult, error) {
 }
 
 // prepare validates a Step input, sizes the scratch, lays out the weight
-// rows and loads the starting residence matrix. It returns the resolved
-// tolerance and sweep budget.
+// rows (or, for the solver's own Weights buffer, checks the tasks against
+// the layout it was handed out with) and loads the starting residence
+// matrix. It returns the resolved tolerance and sweep budget.
 func (s *OverlapSolver) prepare(in *OverlapInput) (tol float64, maxIter int, err error) {
-	if err := validateTasks(in.Tasks); err != nil {
-		return 0, 0, err
-	}
-	n, k := len(in.Tasks), len(in.Tasks[0].Demands)
-	size := s.layout(in.Tasks)
-	if in.Weights != nil {
-		if len(in.Weights) != size {
-			return 0, 0, fmt.Errorf("mva: Weights has %d entries, want %d (blocks of 4 demanded rows × tasks)", len(in.Weights), size)
+	if s.ownsWeights(in.Weights) {
+		if !s.fromWeights || len(in.Weights) != len(s.w) {
+			return 0, 0, errors.New("mva: Weights is a solver buffer from before its last relayout; call Weights again")
+		}
+		if err := s.matchLayout(in.Tasks); err != nil {
+			return 0, 0, err
 		}
 	} else {
+		if err := validateTasks(in.Tasks); err != nil {
+			return 0, 0, err
+		}
+		s.fromWeights = false
+		size := s.layout(in.Tasks)
+		if in.Weights != nil && len(in.Weights) != size {
+			return 0, 0, fmt.Errorf("mva: Weights has %d entries, want %d (blocks of 4 demanded rows × tasks)", len(in.Weights), size)
+		}
+	}
+	n, k := len(in.Tasks), len(in.Tasks[0].Demands)
+	if in.Weights == nil {
 		if len(in.Alpha) != k || len(in.Beta) != k {
 			return 0, 0, errors.New("mva: overlap matrices must have one layer per center")
 		}
@@ -718,9 +782,9 @@ func (s *OverlapSolver) buildFusedWeights(in *OverlapInput) {
 			alphaRow := in.Alpha[c][i]
 			betaRow := in.Beta[c][i]
 			for j := 0; j < n; j++ {
-				s.w[base+4*j] = alphaRow[j] + otherJobs*betaRow[j]
+				s.w[base+WeightStride*j] = alphaRow[j] + otherJobs*betaRow[j]
 			}
-			s.w[base+4*i] = otherJobs * betaRow[i]
+			s.w[base+WeightStride*i] = otherJobs * betaRow[i]
 		}
 	}
 }

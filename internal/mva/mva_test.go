@@ -818,6 +818,82 @@ func TestOverlapPrebuiltWeightsMatchAlphaBeta(t *testing.T) {
 	}
 }
 
+// A Step handed the buffer Weights returned reuses that layout instead of
+// laying the tasks out again; it must answer like a Step given the same
+// weights in a foreign buffer, and refuse tasks that no longer match the
+// layout or a buffer whose layout a later Step replaced.
+func TestOverlapOwnWeightsReuseLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	in := randomOverlap(rng, 9, 3, 2)
+	in.Tasks[2].Demands[0] = 2
+	in.Tasks[3].Demands[2] = 1.5
+	in.Tasks[4].Demands[1] = 0
+	packed := packBlocked(in, 0)
+
+	var s OverlapSolver
+	w, rowBase, err := s.Weights(in.Tasks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for c := 0; c < 3; c++ {
+		for i := 0; i < 9; i++ {
+			if b := rowBase[c*9+i]; b >= 0 {
+				for j := 0; j < 9; j++ {
+					w[b+WeightStride*j] = packed[b+WeightStride*j]
+				}
+			}
+		}
+	}
+	own := in
+	own.Alpha, own.Beta, own.Weights = nil, nil, w
+	foreign := own
+	foreign.Weights = packed
+	var fs OverlapSolver
+	want, err := fs.Step(foreign)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for rep := 0; rep < 2; rep++ {
+		got, err := s.Step(own)
+		if err != nil {
+			t.Fatalf("step %d on the solver's own buffer: %v", rep, err)
+		}
+		if got.Iterations != want.Iterations || math.Float64bits(got.Response[0]) != math.Float64bits(want.Response[0]) {
+			t.Fatalf("step %d on the solver's own buffer differs from a foreign one", rep)
+		}
+	}
+
+	tasks := func(i, c int, d float64) []TaskDemand {
+		out := make([]TaskDemand, len(in.Tasks))
+		for k, td := range in.Tasks {
+			out[k] = TaskDemand{Demands: append([]float64(nil), td.Demands...)}
+		}
+		out[i].Demands[c] = d
+		return out
+	}
+	for name, ts := range map[string][]TaskDemand{
+		"changed demand":     tasks(2, 0, in.Tasks[2].Demands[0]*2),
+		"new zero demand":    tasks(3, 2, 0),
+		"new nonzero demand": tasks(4, 1, 1),
+		"NaN demand":         tasks(5, 1, math.NaN()),
+		"fewer tasks":        in.Tasks[:8],
+	} {
+		bad := own
+		bad.Tasks = ts
+		if _, err := s.Step(bad); err == nil {
+			t.Errorf("%s accepted against the laid-out weights", name)
+		}
+	}
+
+	// A Step that lays out another operand retires the handed-out buffer.
+	if _, err := s.Step(in); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Step(own); err == nil {
+		t.Error("stale solver buffer accepted after a relayout")
+	}
+}
+
 // oracleStep solves an Alpha/Beta input with the paired-row scalar sweep
 // the blocked kernels replaced, over the k·n·n center-major weights it
 // read: the bitwise oracle for every blockKernel.
